@@ -19,11 +19,11 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 
-use llmss_cluster::{bursty_trace, BurstyTraceSpec};
-use llmss_core::{json, Fabric, FabricGraph, SimConfig};
-use llmss_disagg::{DisaggConfig, DisaggReport, DisaggSimulator};
+use llmss_core::{
+    json, DisaggConfig, Fabric, FabricGraph, FleetEngine, FleetReport, SimConfig,
+};
 use llmss_model::ModelSpec;
-use llmss_sched::Request;
+use llmss_sched::{bursty_trace, BurstyTraceSpec, Request};
 
 /// CI gate: the fair fabric may cost at most this ratio over FIFO.
 const MAX_OVERHEAD: f64 = 1.10;
@@ -53,7 +53,7 @@ struct SummaryStats {
 }
 
 impl SummaryStats {
-    fn parse(report: &DisaggReport) -> SummaryStats {
+    fn parse(report: &FleetReport) -> SummaryStats {
         let value =
             json::parse(&report.summary_json()).expect("summary artifact parses as JSON");
         let field = |key: &str| match &value {
@@ -111,10 +111,9 @@ fn run(requests: &[Request], fair: bool) -> (f64, SummaryStats) {
             Fabric::fifo(vec![disagg.kv_link])
         };
         let t0 = Instant::now();
-        let report =
-            DisaggSimulator::with_fabric(cfg.clone(), cfg, disagg, fabric, requests.to_vec())
-                .expect("gpt2 fits one Table-I NPU")
-                .run();
+        let report = FleetEngine::disagg(cfg.clone(), cfg, disagg, fabric, requests.to_vec())
+            .expect("gpt2 fits one Table-I NPU")
+            .run();
         best = best.min(t0.elapsed().as_secs_f64());
         last = Some(report);
     }

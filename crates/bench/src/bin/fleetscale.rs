@@ -38,10 +38,9 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use llmss_cluster::{bursty_trace, BurstyTraceSpec, ClusterConfig, ClusterSimulator};
-use llmss_core::SimConfig;
+use llmss_core::{FleetEngine, RoutingPolicyKind, SimConfig};
 use llmss_model::ModelSpec;
-use llmss_sched::Request;
+use llmss_sched::{bursty_trace, BurstyTraceSpec, Request};
 
 /// KV bucket for the memoized local tier (the simspeed headline value).
 const KV_BUCKET: usize = 64;
@@ -205,9 +204,9 @@ struct RunOutcome {
 /// per-request TSV for the smoke determinism comparison.
 fn run_cell(replicas: usize, requests: Vec<Request>, mode: Mode, keep_tsv: bool) -> RunOutcome {
     let n = requests.len();
-    let mut sim =
-        ClusterSimulator::new(replica_config(), ClusterConfig::new(replicas), requests)
-            .expect("gpt2 fits one Table-I NPU");
+    let configs = vec![replica_config(); replicas];
+    let mut sim = FleetEngine::cluster(configs, RoutingPolicyKind::RoundRobin, 0, requests)
+        .expect("gpt2 fits one Table-I NPU");
     sim.set_shards(mode.shards());
     if mode.shared() {
         sim.enable_shared_cache();
@@ -217,7 +216,7 @@ fn run_cell(replicas: usize, requests: Vec<Request>, mode: Mode, keep_tsv: bool)
     let wall_s = t0.elapsed().as_secs_f64();
     let reuse = report.aggregate_reuse();
     let iterations: u64 =
-        report.replica_reports.iter().map(|r| r.iterations.len() as u64).sum();
+        report.replicas.iter().map(|r| r.report.iterations.len() as u64).sum();
     let row = FleetRow {
         replicas,
         requests: n,

@@ -28,11 +28,12 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 
-use llmss_cluster::{bursty_trace, BurstyTraceSpec, ClusterConfig, ClusterSimulator};
-use llmss_core::{json, MemorySink, SimConfig, SimReport, Telemetry, WallBreakdown};
-use llmss_disagg::{DisaggConfig, DisaggSimulator};
+use llmss_core::{
+    json, DisaggConfig, Fabric, FleetEngine, FleetReport, MemorySink, RoutingPolicyKind,
+    SimConfig, SimReport, Telemetry, WallBreakdown,
+};
 use llmss_model::ModelSpec;
-use llmss_sched::Request;
+use llmss_sched::{bursty_trace, BurstyTraceSpec, Request};
 
 /// The bucketed-memoization granularity the headline numbers use.
 const KV_BUCKET: usize = 64;
@@ -145,16 +146,11 @@ fn as_f64(value: &Value) -> f64 {
 }
 
 /// Sums the `iterations` member across replica-array entries.
-fn sum_iterations(pools: &[&Value]) -> u64 {
-    pools
-        .iter()
-        .filter_map(|pool| match pool {
-            Value::Array(entries) => Some(entries),
-            _ => None,
-        })
-        .flatten()
-        .map(|entry| as_u64(field(entry, "iterations")))
-        .sum()
+fn sum_iterations(replicas: &Value) -> u64 {
+    match replicas {
+        Value::Array(entries) => entries.iter().map(|e| as_u64(field(e, "iterations"))).sum(),
+        _ => 0,
+    }
 }
 
 fn replica_config() -> SimConfig {
@@ -240,16 +236,11 @@ fn run_single(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
 fn run_cluster(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
     let cfg = memo.apply(replica_config());
     let t0 = Instant::now();
-    let report = ClusterSimulator::new(cfg, ClusterConfig::new(4), requests)
+    let report = FleetEngine::cluster(vec![cfg; 4], RoutingPolicyKind::RoundRobin, 0, requests)
         .expect("gpt2 fits one Table-I NPU")
         .run();
     let wall_s = t0.elapsed().as_secs_f64();
-    let summary = parse_summary(&report.summary_json());
-    let iterations = sum_iterations(&[field(&summary, "replicas")]);
-    let sim_duration_ps = as_u64(field(&summary, "makespan_ps"));
-    let refs: Vec<&SimReport> = report.replica_reports.iter().collect();
-    let wall = wall_breakdown(&refs);
-    collect("cluster-4", memo, wall_s, wall, iterations, sim_duration_ps, &summary)
+    collect_fleet("cluster-4", memo, wall_s, &report)
 }
 
 /// The cluster-4 scenario with the fleet-wide shared reuse cache armed:
@@ -259,34 +250,37 @@ fn run_cluster(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
 fn run_cluster_shared(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
     let cfg = memo.apply(replica_config());
     let t0 = Instant::now();
-    let mut sim = ClusterSimulator::new(cfg, ClusterConfig::new(4), requests)
-        .expect("gpt2 fits one Table-I NPU");
+    let mut sim =
+        FleetEngine::cluster(vec![cfg; 4], RoutingPolicyKind::RoundRobin, 0, requests)
+            .expect("gpt2 fits one Table-I NPU");
     sim.enable_shared_cache();
     let report = sim.run();
     let wall_s = t0.elapsed().as_secs_f64();
-    let summary = parse_summary(&report.summary_json());
-    let iterations = sum_iterations(&[field(&summary, "replicas")]);
-    let sim_duration_ps = as_u64(field(&summary, "makespan_ps"));
-    let refs: Vec<&SimReport> = report.replica_reports.iter().collect();
-    let wall = wall_breakdown(&refs);
-    collect("cluster-4-shared", memo, wall_s, wall, iterations, sim_duration_ps, &summary)
+    collect_fleet("cluster-4-shared", memo, wall_s, &report)
 }
 
 fn run_disagg(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
     let cfg = memo.apply(replica_config());
     let t0 = Instant::now();
-    let report = DisaggSimulator::new(cfg.clone(), cfg, DisaggConfig::new(2, 2), requests)
+    let disagg = DisaggConfig::new(2, 2);
+    let fabric = Fabric::fifo(vec![disagg.kv_link]);
+    let report = FleetEngine::disagg(cfg.clone(), cfg, disagg, fabric, requests)
         .expect("gpt2 fits one Table-I NPU")
         .run();
     let wall_s = t0.elapsed().as_secs_f64();
+    collect_fleet("disagg-2x2", memo, wall_s, &report)
+}
+
+/// Collects a fleet run's row from its unified `-summary.json` (every
+/// replica's iterations under `replicas`, the makespan) and its
+/// replicas' wall-clock breakdowns.
+fn collect_fleet(name: &str, memo: Memo, wall_s: f64, report: &FleetReport) -> ScenarioResult {
     let summary = parse_summary(&report.summary_json());
-    let iterations =
-        sum_iterations(&[field(&summary, "prefill_pool"), field(&summary, "decode_pool")]);
+    let iterations = sum_iterations(field(&summary, "replicas"));
     let sim_duration_ps = as_u64(field(&summary, "makespan_ps"));
-    let refs: Vec<&SimReport> =
-        report.prefill_reports.iter().chain(&report.decode_reports).collect();
+    let refs: Vec<&SimReport> = report.replicas.iter().map(|r| &r.report).collect();
     let wall = wall_breakdown(&refs);
-    collect("disagg-2x2", memo, wall_s, wall, iterations, sim_duration_ps, &summary)
+    collect(name, memo, wall_s, wall, iterations, sim_duration_ps, &summary)
 }
 
 /// How the telemetry layer is attached for an overhead measurement.

@@ -1,5 +1,4 @@
-//! Shared harness utilities for the figure/table binaries and Criterion
-//! benches.
+//! Shared harness utilities for the figure/table binaries.
 //!
 //! Every binary regenerates one table or figure of the paper and writes its
 //! rows as TSV under `evaluation/` (mirroring the artifact's layout), plus

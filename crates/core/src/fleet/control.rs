@@ -194,7 +194,8 @@ pub trait ControlPlane: std::fmt::Debug {
 
 /// Today's behavior as a control plane: a fixed router for admission, a
 /// fixed pairer for KV handoffs, no reconfiguration — what
-/// `ClusterSimulator` and `DisaggSimulator` compose over the engine.
+/// [`FleetEngine::cluster`](super::FleetEngine::cluster) and
+/// [`FleetEngine::disagg`](super::FleetEngine::disagg) build.
 #[derive(Debug)]
 pub struct StaticControl {
     router: Box<dyn RoutingPolicy>,

@@ -22,8 +22,9 @@
 //!   control plane sees a [`FleetStats`] view and may flex roles or
 //!   scale the fleet ([`FleetCommand`]), always under drain semantics.
 //!
-//! `ClusterSimulator` and `DisaggSimulator` are thin compositions over
-//! this engine (a router is an admission-side control-plane decision;
+//! A classic cluster ([`FleetEngine::cluster`]) and a disaggregated
+//! deployment ([`FleetEngine::disagg`]) are constructors of this
+//! engine (a router is an admission-side control-plane decision;
 //! disaggregation is role-filtered admission plus KV-transfer links);
 //! flexing and autoscaling are just different control planes.
 
@@ -38,10 +39,11 @@ use crate::fabric::{Fabric, FabricCommit, FabricStats};
 use crate::telemetry::{SimEvent, Telemetry};
 use crate::{ConfigError, ServingSimulator, SimConfig, Simulate};
 
-use super::control::{ControlPlane, FleetCommand, FleetStats, ReplicaStatus};
+use super::control::{ControlPlane, FleetCommand, FleetStats, ReplicaStatus, StaticControl};
 use super::heap::ReadyHeap;
 use super::report::{FleetReplica, FleetReport};
-use super::route::{ReplicaRole, ReplicaSnapshot};
+use super::route::{ReplicaRole, ReplicaSnapshot, RoutingPolicyKind};
+use super::shape::{DisaggConfig, FleetShape};
 
 /// One committed KV handoff, in fleet-global replica indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,6 +201,9 @@ pub struct FleetEngine {
     slots: Vec<ReplicaSlot>,
     fabric: Fabric,
     control: Box<dyn ControlPlane>,
+    /// The constructor that built the fleet (picks the report's
+    /// artifact set).
+    shape: FleetShape,
     /// Global arrival stream, earliest first (online injection source).
     arrivals: VecDeque<Request>,
     /// Original requests by id (handoffs need input/output lengths);
@@ -357,6 +362,7 @@ impl FleetEngine {
             heap: ReadyHeap::new(sims.len()),
             fabric,
             control,
+            shape: FleetShape::Fleet,
             arrivals: trace.into(),
             requests,
             pending: std::collections::BinaryHeap::new(),
@@ -380,6 +386,140 @@ impl FleetEngine {
             sims,
             slots,
         })
+    }
+
+    /// Builds a cluster: one replica per configuration (so the replica
+    /// count is `configs.len()`; configurations may differ in batch
+    /// limits, KV capacity, hardware — and serving role, derived from
+    /// each config's scheduler mode) behind a `routing` front end seeded
+    /// with `seed`. The router only offers replicas whose role accepts
+    /// fresh arrivals; decode-role replicas take no fresh work and idle
+    /// here, since only [`disagg`](Self::disagg) feeds them KV handoffs.
+    ///
+    /// # Examples
+    ///
+    /// Serve a ShareGPT-like trace on a 4-replica cluster with
+    /// power-of-two-choices routing:
+    ///
+    /// ```
+    /// use llmss_core::{FleetEngine, ReportOutput, RoutingPolicyKind, SimConfig};
+    /// use llmss_model::ModelSpec;
+    /// use llmss_sched::{Dataset, TraceGenerator};
+    ///
+    /// let replica = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
+    /// let trace = TraceGenerator::new(Dataset::ShareGpt, 42).rate_per_s(40.0).generate(32);
+    /// let routing = RoutingPolicyKind::PowerOfTwoChoices;
+    /// let report = FleetEngine::cluster(vec![replica; 4], routing, 0, trace)?.run();
+    /// assert_eq!(report.total_completions(), 32);
+    /// println!("{}", report.summary());
+    /// # Ok::<(), llmss_core::ConfigError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] when any replica configuration cannot be
+    /// realized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty; if any replica is prefill-only (a
+    /// plain cluster has no KV handoff, so its requests would silently
+    /// complete with truncated output — use [`disagg`](Self::disagg)); or
+    /// if the trace is non-empty and no replica accepts arrivals (an
+    /// all-decode fleet can never serve it).
+    pub fn cluster(
+        configs: Vec<SimConfig>,
+        routing: RoutingPolicyKind,
+        seed: u64,
+        trace: Vec<Request>,
+    ) -> Result<Self, ConfigError> {
+        let roles: Vec<ReplicaRole> = configs.iter().map(|c| c.mode.into()).collect();
+        // A prefill-only replica would accept arrivals and "complete" them
+        // at end-of-prefill with one token instead of output_len. Refuse
+        // rather than report a healthy-looking run with truncated output.
+        assert!(
+            !roles.contains(&ReplicaRole::Prefill),
+            "prefill-only replicas complete at end-of-prefill with no KV handoff; \
+             disaggregated fleets need FleetEngine::disagg"
+        );
+        assert!(
+            trace.is_empty() || roles.iter().any(ReplicaRole::accepts_arrivals),
+            "no replica accepts arrivals: an all-decode fleet cannot serve the trace"
+        );
+        // A linkless fleet never pairs, so the pairer is unreachable; any
+        // deterministic policy satisfies StaticControl's signature.
+        let control =
+            StaticControl::new(routing.build(seed), RoutingPolicyKind::LeastKvLoad.build(seed));
+        let mut engine = Self::new(configs, Vec::new(), Box::new(control), trace)?;
+        engine.shape = FleetShape::Cluster;
+        Ok(engine)
+    }
+
+    /// Builds a disaggregated deployment: `config.prefill_replicas`
+    /// copies of `prefill_config` at fleet indices `0..P` and
+    /// `config.decode_replicas` copies of `decode_config` at `P..P+D`,
+    /// their scheduler modes forced to prefill-only/decode-only. Fresh
+    /// requests route to the prefill pool; at end-of-prefill the
+    /// request's KV cache (prompt tokens × `kv_bytes_per_token`) crosses
+    /// `fabric` to the decode replica the pairing policy picked, and
+    /// decoding streams from the shipped cache. Pass
+    /// `Fabric::fifo(vec![config.kv_link])` for the single dedicated FIFO
+    /// wire; routed fabric endpoints are fleet-global replica indices.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use llmss_core::{DisaggConfig, Fabric, FleetEngine, ReportOutput, SimConfig};
+    /// use llmss_model::ModelSpec;
+    /// use llmss_sched::{bursty_trace, BurstyTraceSpec};
+    ///
+    /// let replica = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
+    /// let trace = bursty_trace(&BurstyTraceSpec {
+    ///     bursts: 2,
+    ///     burst_size: 6,
+    ///     ..BurstyTraceSpec::default()
+    /// });
+    /// let config = DisaggConfig::new(1, 1).kv_link_gbps(128.0);
+    /// let fabric = Fabric::fifo(vec![config.kv_link]);
+    /// let report = FleetEngine::disagg(replica.clone(), replica, config, fabric, trace)?.run();
+    /// assert_eq!(report.total_completions(), 12);
+    /// println!("{}", report.summary());
+    /// # Ok::<(), llmss_core::ConfigError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] when either replica configuration cannot
+    /// be realized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two configurations name different models (the KV
+    /// bytes-per-token of the shipped caches must agree), if `fabric` has
+    /// no link, or if a routed fabric covers fewer endpoints than `P + D`.
+    pub fn disagg(
+        prefill_config: SimConfig,
+        decode_config: SimConfig,
+        config: DisaggConfig,
+        fabric: Fabric,
+        trace: Vec<Request>,
+    ) -> Result<Self, ConfigError> {
+        assert_eq!(
+            prefill_config.model.name, decode_config.model.name,
+            "prefill and decode pools must serve the same model"
+        );
+        let mut configs = vec![prefill_config.prefill_only(); config.prefill_replicas];
+        configs.extend(vec![decode_config.decode_only(); config.decode_replicas]);
+        let control =
+            StaticControl::new(config.routing.build(config.seed), config.pairing.build());
+        let mut engine = Self::with_fabric(configs, fabric, Box::new(control), trace)?;
+        engine.shape = FleetShape::Disagg(config.pairing);
+        Ok(engine)
+    }
+
+    /// The constructor that built this fleet.
+    pub fn shape(&self) -> FleetShape {
+        self.shape
     }
 
     /// Installs a fault-injection schedule. Faults targeting replicas or
@@ -484,11 +624,6 @@ impl FleetEngine {
     /// Committed KV transfers by request id.
     pub fn transfers(&self) -> &BTreeMap<u64, FleetTransfer> {
         &self.transfers
-    }
-
-    /// KV bytes shipped per prompt token (0 for fleets without links).
-    pub fn kv_bytes_per_token(&self) -> u64 {
-        self.kv_bytes_per_token
     }
 
     /// Replicas currently part of the serving fleet (not retiring).
@@ -1662,18 +1797,15 @@ impl FleetEngine {
         self.into_report()
     }
 
-    /// Finalizes into the engine-level report (a partially drained fleet
-    /// yields a partial report). Shape-specific drivers use
-    /// [`into_parts`](Self::into_parts) instead and assemble their own
-    /// reports.
+    /// Finalizes into the fleet report (a partially drained fleet yields
+    /// a partial report).
     pub fn into_report(self) -> FleetReport {
         FleetReport::from_parts(self.into_parts())
     }
 
     /// Dismantles the engine into the raw per-replica reports, transfer
-    /// records, and bookkeeping a shape-specific driver needs to build
-    /// its own report (`ClusterReport`, `DisaggReport`, ...).
-    pub fn into_parts(mut self) -> FleetParts {
+    /// records, and bookkeeping the report assembles from.
+    pub(crate) fn into_parts(mut self) -> FleetParts {
         let clock = self.clock_ps();
         let resilience = self.chaos.take().map(|mut chaos| {
             // A fault window still open at the end of the run counts as
@@ -1718,6 +1850,7 @@ impl FleetEngine {
             })
             .collect();
         FleetParts {
+            shape: self.shape,
             control,
             replicas,
             assignments: self.assignments,
@@ -1763,7 +1896,9 @@ fn step_to_barrier(sim: &mut ServingSimulator, barrier: Option<TimePs>) {
 
 /// The dismantled engine: everything a report assembler needs.
 #[derive(Debug)]
-pub struct FleetParts {
+pub(crate) struct FleetParts {
+    /// The constructor that built the fleet.
+    pub shape: FleetShape,
     /// The control plane's name.
     pub control: String,
     /// Per-replica outcome, by fleet index.

@@ -1,10 +1,11 @@
 //! The fleet interleaving core: a min-heap of replica ready-times with
 //! lazy invalidation.
 //!
-//! Moved here from `llmss-cluster` so every driver juggling N
-//! independently-clocked [`ServingSimulator`](crate::ServingSimulator)s —
-//! the cluster router, the disaggregated pools, the [`FleetEngine`]
-//! — shares one implementation instead of re-deriving min-over-replicas.
+//! Every fleet shape juggling N independently-clocked
+//! [`ServingSimulator`](crate::ServingSimulator)s — the cluster router,
+//! the disaggregated pools, the reshaping fleets — runs through the
+//! [`FleetEngine`], which keeps one of these instead of re-deriving
+//! min-over-replicas.
 //!
 //! [`FleetEngine`]: crate::FleetEngine
 

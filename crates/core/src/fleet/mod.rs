@@ -28,28 +28,33 @@
 //!   Shipped planes: [`StaticControl`], [`FlexPools`],
 //!   [`AutoscaleControl`].
 //! * [`ReadyHeap`] — the shared lazy-invalidation min-heap of replica
-//!   ready-times (moved here from `llmss-cluster`).
+//!   ready-times.
 //! * [`RoutingPolicy`] / [`ReplicaSnapshot`] / [`ReplicaRole`] — the
-//!   router vocabulary (also moved from `llmss-cluster`; that crate
-//!   re-exports them for compatibility).
-//! * [`FleetReport`] — the engine-level report for reshaping fleets;
-//!   `ClusterSimulator` and `DisaggSimulator` instead rebuild their
-//!   legacy reports from [`FleetEngine::into_parts`].
+//!   router vocabulary.
+//! * [`FleetShape`] — which constructor built the fleet:
+//!   [`FleetEngine::cluster`], [`FleetEngine::disagg`] (configured by
+//!   [`DisaggConfig`] and [`PairingPolicyKind`]), or any other.
+//! * [`FleetReport`] — the one report for every shape; the shape only
+//!   picks the artifact set it writes.
 
 mod control;
 mod engine;
 mod heap;
 mod report;
 mod route;
+mod shape;
 
 pub use control::{
     AutoscaleConfig, AutoscaleControl, ControlPlane, FleetCommand, FleetStats, FlexPools,
     FlexPoolsConfig, ReplicaStatus, StaticControl,
 };
-pub use engine::{FleetEngine, FleetParts, FleetTransfer, ReplicaSlot};
+#[cfg(test)]
+pub(crate) use engine::FleetParts;
+pub use engine::{FleetEngine, FleetTransfer, ReplicaSlot};
 pub use heap::ReadyHeap;
-pub use report::{FleetReplica, FleetReport};
+pub use report::{FleetReplica, FleetReport, TtftComponents, TtftSplit};
 pub use route::{
     LeastKvLoad, LeastOutstanding, PowerOfTwoChoices, ReplicaRole, ReplicaSnapshot, RoundRobin,
     RoutingPolicy, RoutingPolicyKind, Sticky,
 };
+pub use shape::{DisaggConfig, FleetShape, PairingPolicyKind};

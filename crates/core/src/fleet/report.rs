@@ -1,20 +1,31 @@
-//! The engine-level fleet report: per-replica outcomes, end-to-end
-//! completions (KV handoffs joined back to their original arrivals), and
-//! fleet-wide SLO metrics for control planes that reshape the fleet at
-//! runtime (flexing, autoscaling).
+//! The fleet report — one report for every multi-replica shape:
+//! per-replica outcomes, end-to-end completions (KV handoffs joined back
+//! to their original arrivals), committed transfers, and fleet-wide SLO
+//! metrics.
 //!
-//! Shape-specific drivers (`ClusterSimulator`, `DisaggSimulator`) keep
-//! their own richer report types; [`FleetReport`] is the shape-agnostic
-//! view a `[fleet]` scenario produces.
+//! The report's [`FleetShape`] only picks the artifact set it writes:
+//! `-cluster.tsv` for [`FleetEngine::cluster`], `-disagg.tsv` plus
+//! `-disagg-metrics.tsv` for [`FleetEngine::disagg`], `-fleet.tsv`
+//! otherwise. The shape views (per-pool rows, the TTFT split at the KV
+//! handoff) are derived from [`FleetReplica`] and the transfer records
+//! when written, so assembling the report costs no per-request work
+//! beyond the fleet view.
+//!
+//! [`FleetEngine::cluster`]: super::FleetEngine::cluster
+//! [`FleetEngine::disagg`]: super::FleetEngine::disagg
 
 use llmss_sched::{Completion, TimePs};
 
 use crate::chaos::ResilienceStats;
 use crate::fabric::FabricStats;
-use crate::{percentile, PercentileSummary, ReportOutput, ReuseStats, SimReport, SloSummary};
+use crate::{
+    percentile, percentiles_from_ps, PercentileSummary, ReportOutput, ReuseStats, SimReport,
+    SloSummary,
+};
 
 use super::engine::{FleetParts, FleetTransfer};
 use super::route::ReplicaRole;
+use super::shape::FleetShape;
 
 /// One replica's outcome in a finished fleet run.
 #[derive(Debug, Clone)]
@@ -33,9 +44,72 @@ pub struct FleetReplica {
     pub retired: bool,
 }
 
+impl FleetReplica {
+    /// Simulated time spent executing iterations.
+    pub(crate) fn busy_ps(&self) -> TimePs {
+        self.report.iterations.iter().map(|it| it.latency_ps).sum()
+    }
+}
+
+/// One disaggregated request's time to first token, split at its KV
+/// handoff. The three components partition TTFT exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TtftComponents {
+    /// Front-end arrival to end-of-prefill (prefill-pool queueing + the
+    /// prefill pass).
+    pub prefill_ps: TimePs,
+    /// End-of-prefill to KV landed (link queueing + wire time).
+    pub transfer_ps: TimePs,
+    /// KV landed to first token (decode-pool queueing + the first decode
+    /// step).
+    pub decode_ps: TimePs,
+}
+
+impl TtftComponents {
+    /// Splits an end-to-end completion's TTFT at the transfer that fed
+    /// its decode side.
+    pub fn of(completion: &Completion, transfer: &FleetTransfer) -> Self {
+        Self {
+            prefill_ps: transfer.ready_ps.saturating_sub(completion.arrival_ps),
+            transfer_ps: transfer.done_ps.saturating_sub(transfer.ready_ps),
+            decode_ps: completion.first_token_ps.saturating_sub(transfer.done_ps),
+        }
+    }
+}
+
+/// Mean TTFT decomposition across all handed-off requests, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TtftSplit {
+    /// Mean prefill component (queueing + prefill pass).
+    pub prefill_s: f64,
+    /// Mean transfer component (link queueing + wire time).
+    pub transfer_s: f64,
+    /// Mean decode component (queueing + first decode step).
+    pub decode_s: f64,
+}
+
+impl TtftSplit {
+    /// Total mean TTFT.
+    pub fn total_s(&self) -> f64 {
+        self.prefill_s + self.transfer_s + self.decode_s
+    }
+}
+
+impl std::fmt::Display for TtftSplit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "prefill={:.4}s transfer={:.4}s decode={:.4}s",
+            self.prefill_s, self.transfer_s, self.decode_s
+        )
+    }
+}
+
 /// The aggregated result of one fleet-engine run.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
+    /// The constructor that built the fleet (picks the artifact set).
+    pub shape: FleetShape,
     /// The control plane that drove the run.
     pub control: String,
     /// Per-replica outcomes, by fleet index (including replicas the
@@ -62,7 +136,7 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// Assembles the report from a dismantled engine.
-    pub fn from_parts(parts: FleetParts) -> Self {
+    pub(crate) fn from_parts(parts: FleetParts) -> Self {
         let makespan_ps =
             parts.replicas.iter().map(|r| r.report.sim_duration_ps).max().unwrap_or(0);
         // End-to-end completions: skip the prefill-side bookkeeping record
@@ -112,6 +186,7 @@ impl FleetReport {
         let mut transfers: Vec<(u64, FleetTransfer)> = parts.transfers.into_iter().collect();
         transfers.sort_by_key(|&(id, _)| id);
         Self {
+            shape: parts.shape,
             control: parts.control,
             replicas: parts.replicas,
             completions,
@@ -218,6 +293,102 @@ impl FleetReport {
         total
     }
 
+    /// Load imbalance as max/mean routed requests per replica (`1.0` is
+    /// perfectly balanced; only meaningful once requests were routed).
+    pub fn load_imbalance(&self) -> f64 {
+        let max = self.replicas.iter().map(|r| r.routed).max().unwrap_or(0);
+        let total: usize = self.replicas.iter().map(|r| r.routed).sum();
+        if total == 0 {
+            return 1.0;
+        }
+        let mean = total as f64 / self.replicas.len() as f64;
+        max as f64 / mean
+    }
+
+    /// Coefficient of variation (stddev/mean) of per-replica busy time —
+    /// `0.0` when every replica worked equally long.
+    pub fn utilization_imbalance(&self) -> f64 {
+        let busy: Vec<f64> = self.replicas.iter().map(|r| r.busy_ps() as f64).collect();
+        let mean = busy.iter().sum::<f64>() / busy.len() as f64;
+        if mean == 0.0 {
+            return 0.0;
+        }
+        let var = busy.iter().map(|b| (b - mean) * (b - mean)).sum::<f64>() / busy.len() as f64;
+        var.sqrt() / mean
+    }
+
+    /// Total KV bytes shipped between replicas.
+    pub fn total_kv_bytes(&self) -> u64 {
+        self.transfers.iter().map(|(_, t)| t.bytes).sum()
+    }
+
+    /// End-to-end completions joined with the KV transfer that fed their
+    /// decode side, by request id (requests served without a handoff are
+    /// skipped).
+    pub fn handoffs(&self) -> impl Iterator<Item = (&Completion, &FleetTransfer)> + '_ {
+        self.completions.iter().filter_map(|c| {
+            let i = self.transfers.binary_search_by_key(&c.id, |&(id, _)| id).ok()?;
+            Some((c, &self.transfers[i].1))
+        })
+    }
+
+    /// Every handed-off request's TTFT split, by request id.
+    fn ttft_components(&self) -> impl Iterator<Item = TtftComponents> + '_ {
+        self.handoffs().map(|(c, t)| TtftComponents::of(c, t))
+    }
+
+    /// Mean TTFT decomposition (`None` without any handed-off
+    /// completion).
+    pub fn ttft_split(&self) -> Option<TtftSplit> {
+        let n = self.ttft_components().count();
+        if n == 0 {
+            return None;
+        }
+        let mean = |part: fn(&TtftComponents) -> TimePs| {
+            self.ttft_components().map(|c| part(&c) as f64).sum::<f64>() / n as f64 / 1e12
+        };
+        Some(TtftSplit {
+            prefill_s: mean(|c| c.prefill_ps),
+            transfer_s: mean(|c| c.transfer_ps),
+            decode_s: mean(|c| c.decode_ps),
+        })
+    }
+
+    /// p50/p95/p99 of one TTFT component over handed-off requests, e.g.
+    /// `|c| c.transfer_ps` for the KV-transfer component (the number a
+    /// bandwidth-starved link inflates).
+    pub fn component_percentiles(
+        &self,
+        part: fn(&TtftComponents) -> TimePs,
+    ) -> Option<PercentileSummary> {
+        percentiles_from_ps(self.ttft_components().map(|c| part(&c) as f64))
+    }
+
+    /// The replicas created with `role`, by fleet index.
+    pub fn pool(&self, role: ReplicaRole) -> impl Iterator<Item = &FleetReplica> + '_ {
+        self.replicas.iter().filter(move |r| r.home_role == role)
+    }
+
+    /// Fraction of the makespan a replica spent executing iterations.
+    fn utilization(&self, replica: &FleetReplica) -> f64 {
+        replica.busy_ps() as f64 / self.makespan_ps.max(1) as f64
+    }
+
+    /// Mean utilization of the replicas created with `role` (`0.0` for an
+    /// empty pool).
+    pub fn pool_utilization(&self, role: ReplicaRole) -> f64 {
+        self.mean_utilization(self.pool(role))
+    }
+
+    fn mean_utilization<'a>(&self, replicas: impl Iterator<Item = &'a FleetReplica>) -> f64 {
+        let (sum, n) =
+            replicas.fold((0.0, 0usize), |(sum, n), r| (sum + self.utilization(r), n + 1));
+        if n == 0 {
+            return 0.0;
+        }
+        sum / n as f64
+    }
+
     /// One-paragraph human summary.
     pub fn summary(&self) -> String {
         let slo = self.slo();
@@ -225,21 +396,58 @@ impl FleetReport {
         let tpot = PercentileSummary::display_or_na(slo.tpot);
         let latency = PercentileSummary::display_or_na(slo.latency);
         let reuse = self.aggregate_reuse();
-        let retired = self.replicas.iter().filter(|r| r.retired).count();
-        let mut out = format!(
-            "fleet control={} replicas={} (retired {}) requests={} transfers={} \
-             makespan={:.2}s gen_tput={:.1} tok/s ttft[{ttft}] tpot[{tpot}] \
-             latency[{latency}] op_reuse={:.1}% iter_reuse={:.1}%",
-            self.control,
-            self.replicas.len(),
-            retired,
-            self.total_completions(),
-            self.transfers.len(),
-            self.makespan_s(),
-            self.generation_throughput(),
+        let mut out = match self.shape {
+            FleetShape::Cluster => format!(
+                "cluster policy={} replicas={} requests={} makespan={:.2}s \
+                 gen_tput={:.1} tok/s ttft[{ttft}] tpot[{tpot}] latency[{latency}] \
+                 imbalance={:.2} util_cv={:.3}",
+                self.control,
+                self.replicas.len(),
+                self.total_completions(),
+                self.makespan_s(),
+                self.generation_throughput(),
+                self.load_imbalance(),
+                self.utilization_imbalance(),
+            ),
+            FleetShape::Disagg(pairing) => {
+                let transfer = PercentileSummary::display_or_na(
+                    self.component_percentiles(|c| c.transfer_ps),
+                );
+                let split =
+                    self.ttft_split().map_or_else(|| "n/a".to_owned(), |s| s.to_string());
+                format!(
+                    "disagg {}P x {}D routing={} pairing={pairing} requests={} makespan={:.2}s \
+                     gen_tput={:.1} tok/s kv_shipped={:.1} MiB ttft[{ttft}] ttft_split[{split}] \
+                     transfer[{transfer}] tpot[{tpot}] util[prefill={:.2} decode={:.2}]",
+                    self.pool(ReplicaRole::Prefill).count(),
+                    self.pool(ReplicaRole::Decode).count(),
+                    self.control,
+                    self.total_completions(),
+                    self.makespan_s(),
+                    self.generation_throughput(),
+                    self.total_kv_bytes() as f64 / (1u64 << 20) as f64,
+                    self.pool_utilization(ReplicaRole::Prefill),
+                    self.pool_utilization(ReplicaRole::Decode),
+                )
+            }
+            FleetShape::Fleet => format!(
+                "fleet control={} replicas={} (retired {}) requests={} transfers={} \
+                 makespan={:.2}s gen_tput={:.1} tok/s ttft[{ttft}] tpot[{tpot}] \
+                 latency[{latency}]",
+                self.control,
+                self.replicas.len(),
+                self.replicas.iter().filter(|r| r.retired).count(),
+                self.total_completions(),
+                self.transfers.len(),
+                self.makespan_s(),
+                self.generation_throughput(),
+            ),
+        };
+        out.push_str(&format!(
+            " op_reuse={:.1}% iter_reuse={:.1}%",
             reuse.hit_rate() * 100.0,
             reuse.iteration_hit_rate() * 100.0,
-        );
+        ));
         if reuse.shared_armed {
             out.push_str(&format!(
                 " shared_hits={} local_iter_reuse={:.1}%",
@@ -266,10 +474,12 @@ impl FleetReport {
         out
     }
 
-    /// Machine-readable fleet summary as pretty-printed JSON: fleet
-    /// totals, SLO percentiles, merged reuse statistics, one entry per
-    /// replica, and the fabric section (links + contention) when the run
-    /// used a fair-sharing fabric.
+    /// Machine-readable summary as pretty-printed JSON: fleet totals, SLO
+    /// percentiles, merged reuse statistics, one entry per replica, the
+    /// fabric section (links + contention) when the run used a
+    /// fair-sharing fabric, and the resilience section for chaos runs. A
+    /// disaggregated deployment adds its pairing policy and the TTFT
+    /// split at the KV handoff.
     ///
     /// Virtual-time results only, so the artifact is byte-identical
     /// across runs of the same seed.
@@ -278,13 +488,11 @@ impl FleetReport {
 
         use crate::json::obj;
 
-        let makespan = self.makespan_ps.max(1);
         let replicas: Vec<Value> = self
             .replicas
             .iter()
             .enumerate()
             .map(|(i, r)| {
-                let busy: TimePs = r.report.iterations.iter().map(|it| it.latency_ps).sum();
                 obj(vec![
                     ("index", Value::Int(i as i128)),
                     ("role", Value::Str(r.role.to_string())),
@@ -294,50 +502,20 @@ impl FleetReport {
                     ("paired", Value::Int(r.paired as i128)),
                     ("completed", Value::Int(r.report.completions.len() as i128)),
                     ("iterations", Value::Int(r.report.iterations.len() as i128)),
-                    ("busy_s", Value::Float(busy as f64 / 1e12)),
-                    ("utilization", Value::Float(busy as f64 / makespan as f64)),
+                    ("busy_s", Value::Float(r.busy_ps() as f64 / 1e12)),
+                    ("utilization", Value::Float(self.utilization(r))),
                 ])
             })
             .collect();
-        let fabric = match &self.fabric {
-            None => Value::Null,
-            Some(f) => {
-                let links: Vec<Value> = f
-                    .links
-                    .iter()
-                    .map(|l| {
-                        // Same capacity integral as `to_tsv` (GB/s =
-                        // 1e-3 B/ps).
-                        let cap_bytes = l.bw_gbps / 1000.0 * makespan as f64;
-                        let util =
-                            if cap_bytes > 0.0 { l.carried_bytes / cap_bytes } else { 0.0 };
-                        obj(vec![
-                            ("name", Value::Str(l.name.clone())),
-                            ("bw_gbps", Value::Float(l.bw_gbps)),
-                            ("carried_bytes", Value::Float(l.carried_bytes)),
-                            ("utilization", Value::Float(util)),
-                        ])
-                    })
-                    .collect();
-                let contention = match self.contention() {
-                    Some((p50, p95, p99)) => obj(vec![
-                        ("p50", Value::Float(p50)),
-                        ("p95", Value::Float(p95)),
-                        ("p99", Value::Float(p99)),
-                    ]),
-                    None => Value::Null,
-                };
-                obj(vec![
-                    ("label", Value::Str(f.label.clone())),
-                    ("links", Value::Array(links)),
-                    ("contention", contention),
-                ])
-            }
-        };
         let retired = self.replicas.iter().filter(|r| r.retired).count();
         let mut fields = vec![
-            ("shape", Value::Str("fleet".into())),
+            ("shape", Value::Str(self.shape.as_str().into())),
             ("control", Value::Str(self.control.clone())),
+        ];
+        if let FleetShape::Disagg(pairing) = self.shape {
+            fields.push(("pairing", Value::Str(pairing.as_str().into())));
+        }
+        fields.extend([
             ("replica_count", Value::Int(self.replicas.len() as i128)),
             ("retired", Value::Int(retired as i128)),
             ("completions", Value::Int(self.total_completions() as i128)),
@@ -347,13 +525,36 @@ impl FleetReport {
             ("makespan_s", Value::Float(self.makespan_s())),
             ("generation_tput_tok_s", Value::Float(self.generation_throughput())),
             ("slo", self.slo().json_value()),
+        ]);
+        if let FleetShape::Disagg(_) = self.shape {
+            let split = match self.ttft_split() {
+                Some(s) => obj(vec![
+                    ("prefill_s", Value::Float(s.prefill_s)),
+                    ("transfer_s", Value::Float(s.transfer_s)),
+                    ("decode_s", Value::Float(s.decode_s)),
+                ]),
+                None => Value::Null,
+            };
+            let component = |part: fn(&TtftComponents) -> TimePs| {
+                PercentileSummary::json_or_null(self.component_percentiles(part))
+            };
+            fields.extend([
+                ("ttft_prefill", component(|c| c.prefill_ps)),
+                ("ttft_transfer", component(|c| c.transfer_ps)),
+                ("ttft_decode", component(|c| c.decode_ps)),
+                ("ttft_split", split),
+            ]);
+        }
+        fields.extend([
             ("reuse", self.aggregate_reuse().json_value()),
             ("replicas", Value::Array(replicas)),
-            ("fabric", fabric),
-        ];
+            ("fabric", self.fabric_json()),
+        ]);
         // The resilience key exists only for chaos runs; chaos-free
         // summaries stay byte-identical to the pre-chaos engine.
-        if let Some(res) = &self.resilience {
+        if let (Some(res), Some((slo_in_fault, slo_clear))) =
+            (&self.resilience, self.slo_by_fault_window())
+        {
             let abandoned: Vec<Value> = res
                 .abandoned
                 .iter()
@@ -376,8 +577,6 @@ impl FleetReport {
                 .collect();
             let downtime: Vec<Value> =
                 res.downtime.iter().map(|&d| Value::Float(d as f64 / 1e12)).collect();
-            let (slo_in_fault, slo_clear) =
-                self.slo_by_fault_window().expect("resilience is present"); // llmss-lint: allow(p001, reason = "only reached when the resilience section exists")
             fields.push((
                 "resilience",
                 obj(vec![
@@ -402,48 +601,67 @@ impl FleetReport {
         crate::json::pretty(&v) + "\n"
     }
 
-    /// Per-replica TSV (the CLI's `{output}-fleet.tsv`): one row per
-    /// replica plus a `fleet` totals row carrying the SLO percentiles.
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::from(
-            "replica\trole\thome_role\tretired\trouted\tpaired\tcompleted\
-             \titerations\tbusy_s\tutilization\tttft_p50\tttft_p95\tttft_p99\
-             \tlat_p50\tlat_p95\tlat_p99\n",
-        );
-        let makespan = self.makespan_ps.max(1);
-        for (i, r) in self.replicas.iter().enumerate() {
-            let busy: TimePs = r.report.iterations.iter().map(|it| it.latency_ps).sum();
-            let ttft = PercentileSummary::tsv_fields_or_dashes(r.report.ttft_percentiles());
-            let lat = PercentileSummary::tsv_fields_or_dashes(r.report.latency_percentiles());
-            out.push_str(&format!(
-                "{i}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}\t{:.4}\t{ttft}\t{lat}\n",
-                r.role,
-                r.home_role,
-                r.retired,
-                r.routed,
-                r.paired,
-                r.report.completions.len(),
-                r.report.iterations.len(),
-                busy as f64 / 1e12,
-                busy as f64 / makespan as f64,
-            ));
+    /// The fabric section of the JSON summary: per-link utilization and
+    /// contention percentiles (`null` on the legacy FIFO wire).
+    fn fabric_json(&self) -> serde::Value {
+        use serde::Value;
+
+        use crate::json::obj;
+
+        let Some(f) = &self.fabric else {
+            return Value::Null;
+        };
+        let links: Vec<Value> = f
+            .links
+            .iter()
+            .map(|l| {
+                obj(vec![
+                    ("name", Value::Str(l.name.clone())),
+                    ("bw_gbps", Value::Float(l.bw_gbps)),
+                    ("carried_bytes", Value::Float(l.carried_bytes)),
+                    (
+                        "utilization",
+                        Value::Float(self.link_utilization(l.bw_gbps, l.carried_bytes)),
+                    ),
+                ])
+            })
+            .collect();
+        let contention = match self.contention() {
+            Some((p50, p95, p99)) => obj(vec![
+                ("p50", Value::Float(p50)),
+                ("p95", Value::Float(p95)),
+                ("p99", Value::Float(p99)),
+            ]),
+            None => Value::Null,
+        };
+        obj(vec![
+            ("label", Value::Str(f.label.clone())),
+            ("links", Value::Array(links)),
+            ("contention", contention),
+        ])
+    }
+
+    /// A link's carried bytes over its capacity integral across the run
+    /// (GB/s = 1e-3 B/ps).
+    fn link_utilization(&self, bw_gbps: f64, carried_bytes: f64) -> f64 {
+        let cap_bytes = bw_gbps / 1000.0 * self.makespan_ps.max(1) as f64;
+        if cap_bytes > 0.0 {
+            carried_bytes / cap_bytes
+        } else {
+            0.0
         }
-        let slo = self.slo();
-        let ttft = PercentileSummary::tsv_fields_or_dashes(slo.ttft);
-        let lat = PercentileSummary::tsv_fields_or_dashes(slo.latency);
-        out.push_str(&format!(
-            "fleet\t-\t-\t-\t{}\t{}\t{}\t{}\t{:.4}\t-\t{ttft}\t{lat}\n",
-            self.assignments.len(),
-            self.transfers.len(),
-            self.total_completions(),
-            self.replicas.iter().map(|r| r.report.iterations.len()).sum::<usize>(),
-            self.replicas
-                .iter()
-                .flat_map(|r| r.report.iterations.iter())
-                .map(|it| it.latency_ps)
-                .sum::<TimePs>() as f64
-                / 1e12,
-        ));
+    }
+
+    /// The shape's per-replica TSV — the CLI's `{output}-cluster.tsv`,
+    /// `{output}-disagg.tsv` or `{output}-fleet.tsv` — followed by the
+    /// fabric section for fair-sharing runs and the resilience section
+    /// for chaos runs.
+    pub fn to_tsv(&self) -> String {
+        let mut out = match self.shape {
+            FleetShape::Cluster => self.cluster_rows(),
+            FleetShape::Disagg(_) => self.pool_rows(),
+            FleetShape::Fleet => self.fleet_rows(),
+        };
         // The fabric section exists only for fair-sharing runs; the
         // legacy FIFO wire emits exactly the pre-fabric TSV above.
         if let Some(fabric) = &self.fabric {
@@ -452,16 +670,12 @@ impl FleetReport {
                 fabric.label
             ));
             for l in &fabric.links {
-                // Capacity integral over the run, in bytes (GB/s =
-                // 1e-3 B/ps).
-                let cap_bytes = l.bw_gbps / 1000.0 * makespan as f64;
-                let util = if cap_bytes > 0.0 { l.carried_bytes / cap_bytes } else { 0.0 };
                 out.push_str(&format!(
                     "{}\t{:.1}\t{:.3}\t{:.4}\n",
                     l.name,
                     l.bw_gbps,
                     l.carried_bytes / 1e6,
-                    util,
+                    self.link_utilization(l.bw_gbps, l.carried_bytes),
                 ));
             }
             out.push_str("contention_p50\tcontention_p95\tcontention_p99\n");
@@ -502,6 +716,143 @@ impl FleetReport {
         }
         out
     }
+
+    /// Fleet rows: one per replica (role, lifecycle, routing counters)
+    /// plus a `fleet` totals row carrying the SLO percentiles.
+    fn fleet_rows(&self) -> String {
+        let mut out = String::from(
+            "replica\trole\thome_role\tretired\trouted\tpaired\tcompleted\
+             \titerations\tbusy_s\tutilization\tttft_p50\tttft_p95\tttft_p99\
+             \tlat_p50\tlat_p95\tlat_p99\n",
+        );
+        for (i, r) in self.replicas.iter().enumerate() {
+            let ttft = PercentileSummary::tsv_fields_or_dashes(r.report.ttft_percentiles());
+            let lat = PercentileSummary::tsv_fields_or_dashes(r.report.latency_percentiles());
+            out.push_str(&format!(
+                "{i}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}\t{:.4}\t{ttft}\t{lat}\n",
+                r.role,
+                r.home_role,
+                r.retired,
+                r.routed,
+                r.paired,
+                r.report.completions.len(),
+                r.report.iterations.len(),
+                r.busy_ps() as f64 / 1e12,
+                self.utilization(r),
+            ));
+        }
+        let slo = self.slo();
+        let ttft = PercentileSummary::tsv_fields_or_dashes(slo.ttft);
+        let lat = PercentileSummary::tsv_fields_or_dashes(slo.latency);
+        out.push_str(&format!(
+            "fleet\t-\t-\t-\t{}\t{}\t{}\t{}\t{:.4}\t-\t{ttft}\t{lat}\n",
+            self.assignments.len(),
+            self.transfers.len(),
+            self.total_completions(),
+            self.replicas.iter().map(|r| r.report.iterations.len()).sum::<usize>(),
+            self.replicas.iter().map(FleetReplica::busy_ps).sum::<TimePs>() as f64 / 1e12,
+        ));
+        out
+    }
+
+    /// Cluster rows: one per replica (routing counter, token totals) plus
+    /// a `cluster` totals row carrying the SLO percentiles.
+    fn cluster_rows(&self) -> String {
+        let mut out = String::from(
+            "replica\trouted\tcompleted\titerations\tbusy_s\tutilization\
+             \tprompt_tok\tgen_tok\tttft_p50\tttft_p95\tttft_p99\
+             \tlat_p50\tlat_p95\tlat_p99\n",
+        );
+        for (i, r) in self.replicas.iter().enumerate() {
+            // A replica that finished nothing has no percentiles: dashes,
+            // never NaN, so the TSV stays machine-parseable.
+            let ttft = PercentileSummary::tsv_fields_or_dashes(r.report.ttft_percentiles());
+            let lat = PercentileSummary::tsv_fields_or_dashes(r.report.latency_percentiles());
+            out.push_str(&format!(
+                "{i}\t{}\t{}\t{}\t{:.4}\t{:.4}\t{}\t{}\t{ttft}\t{lat}\n",
+                r.routed,
+                r.report.completions.len(),
+                r.report.iterations.len(),
+                r.busy_ps() as f64 / 1e12,
+                self.utilization(r),
+                r.report.total_prompt_tokens(),
+                r.report.total_generated_tokens(),
+            ));
+        }
+        let slo = self.slo();
+        let ttft = PercentileSummary::tsv_fields_or_dashes(slo.ttft);
+        let lat = PercentileSummary::tsv_fields_or_dashes(slo.latency);
+        out.push_str(&format!(
+            "cluster\t{}\t{}\t{}\t{:.4}\t{:.4}\t{}\t{}\t{ttft}\t{lat}\n",
+            self.assignments.len(),
+            self.total_completions(),
+            self.replicas.iter().map(|r| r.report.iterations.len()).sum::<usize>(),
+            self.replicas.iter().map(FleetReplica::busy_ps).sum::<TimePs>() as f64 / 1e12,
+            // Mean, not sum: a fleet-level utilization above 1.0 would
+            // read as nonsense in the totals row.
+            self.mean_utilization(self.replicas.iter()),
+            self.replicas.iter().map(|r| r.report.total_prompt_tokens()).sum::<u64>(),
+            self.replicas.iter().map(|r| r.report.total_generated_tokens()).sum::<u64>(),
+        ));
+        out
+    }
+
+    /// Per-pool rows: one per pool member (indexed within its pool;
+    /// `routed` counts arrivals on the prefill pool and KV handoffs on
+    /// the decode pool) plus a `total` row per pool, whose utilization is
+    /// the pool mean so it stays in `[0, 1]`.
+    fn pool_rows(&self) -> String {
+        let mut out =
+            String::from("pool\treplica\trouted\tcompleted\titerations\tbusy_s\tutilization\n");
+        for role in [ReplicaRole::Prefill, ReplicaRole::Decode] {
+            let routed = |r: &FleetReplica| match role {
+                ReplicaRole::Decode => r.paired,
+                _ => r.routed,
+            };
+            for (i, r) in self.pool(role).enumerate() {
+                out.push_str(&format!(
+                    "{role}\t{i}\t{}\t{}\t{}\t{:.4}\t{:.4}\n",
+                    routed(r),
+                    r.report.completions.len(),
+                    r.report.iterations.len(),
+                    r.busy_ps() as f64 / 1e12,
+                    self.utilization(r),
+                ));
+            }
+            out.push_str(&format!(
+                "{role}\ttotal\t{}\t{}\t{}\t{:.4}\t{:.4}\n",
+                self.pool(role).map(routed).sum::<usize>(),
+                self.pool(role).map(|r| r.report.completions.len()).sum::<usize>(),
+                self.pool(role).map(|r| r.report.iterations.len()).sum::<usize>(),
+                self.pool(role).map(FleetReplica::busy_ps).sum::<TimePs>() as f64 / 1e12,
+                self.pool_utilization(role),
+            ));
+        }
+        out
+    }
+
+    /// Metric TSV (the CLI's `{output}-disagg-metrics.tsv`): TTFT and its
+    /// prefill/transfer/decode split, TPOT, and latency percentiles —
+    /// dashes (never NaN) for undefined rows.
+    pub(crate) fn metrics_tsv(&self) -> String {
+        let slo = self.slo();
+        let mut out = String::from("metric\tp50_s\tp95_s\tp99_s\n");
+        let rows: [(&str, Option<PercentileSummary>); 6] = [
+            ("ttft", slo.ttft),
+            ("ttft_prefill", self.component_percentiles(|c| c.prefill_ps)),
+            ("ttft_transfer", self.component_percentiles(|c| c.transfer_ps)),
+            ("ttft_decode", self.component_percentiles(|c| c.decode_ps)),
+            ("tpot", slo.tpot),
+            ("latency", slo.latency),
+        ];
+        for (name, summary) in rows {
+            out.push_str(&format!(
+                "{name}\t{}\n",
+                PercentileSummary::tsv_fields_or_dashes(summary)
+            ));
+        }
+        out
+    }
 }
 
 impl ReportOutput for FleetReport {
@@ -510,6 +861,16 @@ impl ReportOutput for FleetReport {
     }
 
     fn artifacts(&self) -> Vec<(&'static str, String)> {
-        vec![("-fleet.tsv", self.to_tsv()), ("-summary.json", self.summary_json())]
+        let tsv = match self.shape {
+            FleetShape::Cluster => "-cluster.tsv",
+            FleetShape::Disagg(_) => "-disagg.tsv",
+            FleetShape::Fleet => "-fleet.tsv",
+        };
+        let mut artifacts = vec![(tsv, self.to_tsv())];
+        if let FleetShape::Disagg(_) = self.shape {
+            artifacts.push(("-disagg-metrics.tsv", self.metrics_tsv()));
+        }
+        artifacts.push(("-summary.json", self.summary_json()));
+        artifacts
     }
 }

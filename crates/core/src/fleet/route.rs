@@ -1,7 +1,7 @@
 //! Replica roles, load snapshots, and pluggable routing policies.
 //!
-//! Moved here from `llmss-cluster` so the [`FleetEngine`] and its control
-//! planes can speak the same vocabulary the router does: the router runs
+//! The [`FleetEngine`] and its control planes speak the same vocabulary
+//! the router does: the router runs
 //! at request-arrival time and sees only what a real front-end would —
 //! per-replica queue depth, KV-cache pressure, and completion counts
 //! ([`ReplicaSnapshot`]) — never the future of the trace or the internals
@@ -18,7 +18,8 @@ use llmss_sched::{Request, SchedulerMode, TimePs};
 ///
 /// A classic cluster is all-[`Unified`](ReplicaRole::Unified); a
 /// disaggregated deployment splits the fleet into a prefill pool and a
-/// decode pool with a KV-cache handoff in between (`llmss-disagg`). With
+/// decode pool with a KV-cache handoff in between
+/// ([`FleetEngine::disagg`](crate::FleetEngine::disagg)). With
 /// a flexing control plane ([`FlexPools`](crate::FlexPools)) a replica's
 /// role can change at runtime, after a drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

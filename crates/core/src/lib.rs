@@ -65,16 +65,16 @@ pub use fabric::{
     LinkUsage, NamedLink, RouteSpec,
 };
 pub use fleet::{
-    AutoscaleConfig, AutoscaleControl, ControlPlane, FleetCommand, FleetEngine, FleetParts,
-    FleetReplica, FleetReport, FleetStats, FleetTransfer, FlexPools, FlexPoolsConfig,
-    LeastKvLoad, LeastOutstanding, PowerOfTwoChoices, ReadyHeap, ReplicaRole, ReplicaSlot,
-    ReplicaSnapshot, ReplicaStatus, RoundRobin, RoutingPolicy, RoutingPolicyKind,
-    StaticControl, Sticky,
+    AutoscaleConfig, AutoscaleControl, ControlPlane, DisaggConfig, FleetCommand, FleetEngine,
+    FleetReplica, FleetReport, FleetShape, FleetStats, FleetTransfer, FlexPools,
+    FlexPoolsConfig, LeastKvLoad, LeastOutstanding, PairingPolicyKind, PowerOfTwoChoices,
+    ReadyHeap, ReplicaRole, ReplicaSlot, ReplicaSnapshot, ReplicaStatus, RoundRobin,
+    RoutingPolicy, RoutingPolicyKind, StaticControl, Sticky, TtftComponents, TtftSplit,
 };
 pub use mapping::{map_op, DeviceKind, PimMode};
 pub use report::{
     percentile, percentiles_from_ps, IterationRecord, PercentileSummary, ReportOutput,
-    SimReport, SloCompletion, SloSummary, ThroughputBin, WallBreakdown,
+    SimReport, SloSummary, ThroughputBin, WallBreakdown,
 };
 pub use reuse::{
     BucketAdaptivity, IterationCache, IterationLookup, IterationOutcome, ReuseCache,

@@ -97,7 +97,7 @@ pub struct ThroughputBin {
 /// sample set (a run with zero completions has no percentiles — callers
 /// skip the row or print placeholders instead of NaN); used for
 /// single-replica metrics via [`SimReport::ttft_percentiles`] and
-/// friends, and for cluster-level SLOs by `llmss-cluster`.
+/// friends, and for fleet-wide SLOs by [`FleetReport`](crate::FleetReport).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PercentileSummary {
     /// Median (50th percentile).
@@ -156,41 +156,6 @@ impl std::fmt::Display for PercentileSummary {
     }
 }
 
-/// A completion record that carries the standard serving-SLO signals.
-///
-/// Implemented by single-replica [`Completion`]s here and by
-/// `llmss-disagg`'s lifecycle records, so [`SloSummary::collect`] can
-/// derive one set of percentile metrics for every serving shape instead
-/// of each report crate re-plumbing `percentiles_from_ps` by hand.
-pub trait SloCompletion {
-    /// Time to first token, in picoseconds.
-    fn ttft_ps(&self) -> TimePs;
-    /// End-to-end request latency, in picoseconds.
-    fn latency_ps(&self) -> TimePs;
-    /// Mean time per output token after the first, in picoseconds.
-    fn tpot_ps(&self) -> f64;
-    /// Tokens the request generated (TPOT is undefined at 1).
-    fn output_len(&self) -> usize;
-}
-
-impl SloCompletion for Completion {
-    fn ttft_ps(&self) -> TimePs {
-        Completion::ttft_ps(self)
-    }
-
-    fn latency_ps(&self) -> TimePs {
-        Completion::latency_ps(self)
-    }
-
-    fn tpot_ps(&self) -> f64 {
-        Completion::tpot_ps(self)
-    }
-
-    fn output_len(&self) -> usize {
-        self.output_len
-    }
-}
-
 /// The three serving-SLO percentile summaries every report exposes:
 /// TTFT, TPOT, and end-to-end latency (each `None` when its sample set
 /// is empty — see [`percentiles_from_ps`]).
@@ -206,13 +171,9 @@ pub struct SloSummary {
 
 impl SloSummary {
     /// Derives the summary from any completion stream. This is the one
-    /// percentile pipeline shared by single-replica, cluster, and
-    /// disaggregated reports.
-    pub fn collect<'a, C, I>(completions: I) -> Self
-    where
-        C: SloCompletion + 'a,
-        I: Iterator<Item = &'a C> + Clone,
-    {
+    /// percentile pipeline shared by the single-replica and fleet
+    /// reports.
+    pub fn collect<'a>(completions: impl Iterator<Item = &'a Completion> + Clone) -> Self {
         Self {
             ttft: Self::ttft_of(completions.clone()),
             tpot: Self::tpot_of(completions.clone()),
@@ -222,24 +183,22 @@ impl SloSummary {
 
     /// TTFT percentiles alone (for accessors that need one metric
     /// without paying for the other two sorts).
-    pub fn ttft_of<'a, C: SloCompletion + 'a>(
-        completions: impl Iterator<Item = &'a C>,
+    pub fn ttft_of<'a>(
+        completions: impl Iterator<Item = &'a Completion>,
     ) -> Option<PercentileSummary> {
         percentiles_from_ps(completions.map(|c| c.ttft_ps() as f64))
     }
 
     /// TPOT percentiles alone (single-token requests excluded).
-    pub fn tpot_of<'a, C: SloCompletion + 'a>(
-        completions: impl Iterator<Item = &'a C>,
+    pub fn tpot_of<'a>(
+        completions: impl Iterator<Item = &'a Completion>,
     ) -> Option<PercentileSummary> {
-        percentiles_from_ps(
-            completions.filter(|c| c.output_len() > 1).map(SloCompletion::tpot_ps),
-        )
+        percentiles_from_ps(completions.filter(|c| c.output_len > 1).map(Completion::tpot_ps))
     }
 
     /// End-to-end latency percentiles alone.
-    pub fn latency_of<'a, C: SloCompletion + 'a>(
-        completions: impl Iterator<Item = &'a C>,
+    pub fn latency_of<'a>(
+        completions: impl Iterator<Item = &'a Completion>,
     ) -> Option<PercentileSummary> {
         percentiles_from_ps(completions.map(|c| c.latency_ps() as f64))
     }
@@ -258,9 +217,10 @@ impl SloSummary {
 /// A finished simulation's output surface: the one-paragraph summary and
 /// the named TSV artifacts the CLI writes.
 ///
-/// Implemented by `SimReport`, `ClusterReport`, and `DisaggReport`, and
-/// delegated through the scenario layer's `AnyReport`, so the binary (and
-/// any other driver) writes results identically for every serving shape.
+/// Implemented by `SimReport` and `FleetReport` (every multi-replica
+/// shape), and delegated through the scenario layer's `AnyReport`, so the
+/// binary (and any other driver) writes results identically for every
+/// serving shape.
 pub trait ReportOutput {
     /// One-paragraph human summary (what the CLI prints).
     fn summary(&self) -> String;
@@ -533,7 +493,13 @@ impl SimReport {
 
 #[cfg(test)]
 mod tests {
+    use llmss_sched::Request;
+
     use super::*;
+    use crate::fleet::{
+        FleetParts, FleetReplica, FleetReport, FleetShape, FleetTransfer, PairingPolicyKind,
+        ReplicaRole, TtftComponents,
+    };
 
     fn record(
         index: u64,
@@ -699,5 +665,234 @@ mod tests {
     #[should_panic(expected = "bin width")]
     fn zero_bin_rejected() {
         report().throughput_series(0.0);
+    }
+
+    // The fleet report's shape views: cluster rows, per-pool rows, and
+    // the TTFT split at the KV handoff, over hand-built engine parts.
+
+    fn completion(id: u64, arrival: TimePs, first: TimePs, finish: TimePs) -> Completion {
+        Completion {
+            id,
+            arrival_ps: arrival,
+            first_token_ps: first,
+            finish_ps: finish,
+            input_len: 16,
+            output_len: 4,
+        }
+    }
+
+    fn report_with(completions: Vec<Completion>, duration: TimePs) -> SimReport {
+        SimReport {
+            iterations: Vec::new(),
+            completions,
+            wall: WallBreakdown::default(),
+            reuse: ReuseStats::default(),
+            sim_duration_ps: duration,
+        }
+    }
+
+    fn replica(
+        role: ReplicaRole,
+        routed: usize,
+        paired: usize,
+        report: SimReport,
+    ) -> FleetReplica {
+        FleetReplica { report, role, home_role: role, routed, paired, retired: false }
+    }
+
+    fn fleet_report(
+        shape: FleetShape,
+        control: &str,
+        replicas: Vec<FleetReplica>,
+        assignments: Vec<(u64, usize)>,
+        transfers: Vec<(u64, FleetTransfer)>,
+        requests: Vec<Request>,
+    ) -> FleetReport {
+        FleetReport::from_parts(FleetParts {
+            shape,
+            control: control.into(),
+            replicas,
+            assignments,
+            transfers: transfers.into_iter().collect(),
+            requests: requests.into_iter().map(|r| (r.id, r)).collect(),
+            fabric: None,
+            resilience: None,
+        })
+    }
+
+    fn cluster_report(
+        replicas: Vec<(usize, SimReport)>,
+        assignments: Vec<(u64, usize)>,
+    ) -> FleetReport {
+        let replicas = replicas
+            .into_iter()
+            .map(|(routed, r)| replica(ReplicaRole::Unified, routed, 0, r))
+            .collect();
+        fleet_report(
+            FleetShape::Cluster,
+            "round-robin",
+            replicas,
+            assignments,
+            Vec::new(),
+            Vec::new(),
+        )
+    }
+
+    fn two_replica_report() -> FleetReport {
+        cluster_report(
+            vec![
+                (
+                    2,
+                    report_with(
+                        vec![completion(0, 0, 1_000, 5_000), completion(2, 0, 2_000, 9_000)],
+                        9_000,
+                    ),
+                ),
+                (1, report_with(vec![completion(1, 0, 4_000, 6_000)], 6_000)),
+            ],
+            vec![(0, 0), (1, 1), (2, 0)],
+        )
+    }
+
+    #[test]
+    fn makespan_is_latest_replica_clock() {
+        let r = two_replica_report();
+        assert_eq!(r.makespan_ps(), 9_000);
+        assert_eq!(r.total_completions(), 3);
+    }
+
+    #[test]
+    fn ttft_percentiles_merge_replicas() {
+        let r = two_replica_report();
+        // TTFTs: 1000, 2000, 4000 ps → p50 = 2000 ps.
+        assert!((r.slo().ttft.unwrap().p50_s - 2e-9).abs() < 1e-15);
+    }
+
+    #[test]
+    fn empty_completion_sets_render_dashes_not_nan() {
+        let r = cluster_report(
+            vec![(0, report_with(Vec::new(), 0)), (0, report_with(Vec::new(), 0))],
+            Vec::new(),
+        );
+        assert_eq!(r.slo().ttft, None);
+        assert_eq!(r.slo().latency, None);
+        let tsv = r.to_tsv();
+        assert!(!tsv.contains("NaN"), "TSV leaked NaN: {tsv}");
+        assert!(tsv.lines().nth(1).unwrap().contains("-\t-\t-"), "{tsv}");
+        assert!(r.summary().contains("n/a"), "{}", r.summary());
+    }
+
+    #[test]
+    fn load_imbalance_of_uneven_split() {
+        let r = two_replica_report();
+        // routed = [2, 1]: max 2 / mean 1.5.
+        assert!((r.load_imbalance() - 2.0 / 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tsv_has_per_replica_and_cluster_rows() {
+        let tsv = two_replica_report().to_tsv();
+        let lines: Vec<&str> = tsv.lines().collect();
+        assert_eq!(lines.len(), 4, "{tsv}"); // header + 2 replicas + cluster
+        assert!(lines[0].starts_with("replica\t"));
+        assert!(lines[3].starts_with("cluster\t"));
+    }
+
+    #[test]
+    fn summary_names_the_policy() {
+        assert!(two_replica_report().summary().contains("round-robin"));
+    }
+
+    /// A 1P×1D deployment: `ids` each arrive at 0, finish prefill at
+    /// 1_000 ps, win the link at 1_200, land at 2_000, and decode their
+    /// first token at 2_500 and last at 5_500.
+    fn disagg_report(ids: &[u64]) -> FleetReport {
+        let prefill =
+            replica(ReplicaRole::Prefill, ids.len(), 0, report_with(Vec::new(), 3_000));
+        // Decode-side records carry the scheduler-local arrival (the
+        // transfer-done time); the report restores the front-end one.
+        let decoded = ids
+            .iter()
+            .map(|&id| Completion { input_len: 100, ..completion(id, 2_000, 2_500, 5_500) });
+        let decode =
+            replica(ReplicaRole::Decode, 0, ids.len(), report_with(decoded.collect(), 5_500));
+        let transfer = FleetTransfer {
+            from: 0,
+            to: 1,
+            link: 0,
+            ready_ps: 1_000,
+            start_ps: 1_200,
+            done_ps: 2_000,
+            nominal_ps: 800,
+            bytes: 100 * 64,
+        };
+        fleet_report(
+            FleetShape::Disagg(PairingPolicyKind::LeastKvLoad),
+            "least-outstanding",
+            vec![prefill, decode],
+            ids.iter().map(|&id| (id, 0)).collect(),
+            ids.iter().map(|&id| (id, transfer)).collect(),
+            ids.iter().map(|&id| Request::new(id, 100, 4, 0)).collect(),
+        )
+    }
+
+    #[test]
+    fn components_partition_ttft() {
+        let r = disagg_report(&[0]);
+        let (c, t) = r.handoffs().next().expect("one handoff");
+        let split = TtftComponents::of(c, t);
+        assert_eq!(split.prefill_ps + split.transfer_ps + split.decode_ps, c.ttft_ps());
+        assert_eq!(c.ttft_ps(), 2_500);
+        assert_eq!(split.transfer_ps, 1_000);
+        // TPOT: 3 gaps over 3_000 ps.
+        assert!((c.tpot_ps() - 1_000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn split_means_sum_to_mean_ttft() {
+        let r = disagg_report(&[0, 1]);
+        let split = r.ttft_split().unwrap();
+        assert!((split.total_s() - 2_500e-12).abs() < 1e-18);
+        assert!((split.transfer_s - 1_000e-12).abs() < 1e-18);
+    }
+
+    #[test]
+    fn makespan_spans_both_pools() {
+        let r = disagg_report(&[0, 1]);
+        assert_eq!(r.makespan_ps(), 5_500);
+        assert_eq!(r.total_kv_bytes(), 2 * 100 * 64);
+    }
+
+    #[test]
+    fn tsvs_have_expected_shape_and_no_nan() {
+        let r = disagg_report(&[0, 1]);
+        let tsv = r.to_tsv();
+        // Header + (1P + totals) + (1D + totals).
+        assert_eq!(tsv.lines().count(), 5, "{tsv}");
+        assert!(tsv.lines().nth(1).unwrap().starts_with("prefill\t0"));
+        assert!(tsv.lines().nth(2).unwrap().starts_with("prefill\ttotal"));
+        assert!(tsv.lines().nth(3).unwrap().starts_with("decode\t0"));
+        assert!(tsv.lines().nth(4).unwrap().starts_with("decode\ttotal"));
+        let metrics = r.metrics_tsv();
+        assert_eq!(metrics.lines().count(), 7, "{metrics}");
+        assert!(!metrics.contains("NaN"));
+        for name in ["ttft_prefill", "ttft_transfer", "ttft_decode", "tpot"] {
+            assert!(metrics.contains(name), "missing {name} in {metrics}");
+        }
+    }
+
+    #[test]
+    fn empty_report_is_all_dashes() {
+        let r = disagg_report(&[]);
+        assert_eq!(r.slo().ttft, None);
+        assert_eq!(r.ttft_split(), None);
+        assert!(!r.metrics_tsv().contains("NaN"));
+        assert!(r.summary().contains("n/a"));
+    }
+
+    #[test]
+    fn summary_names_both_policies() {
+        let s = disagg_report(&[0, 1]).summary();
+        assert!(s.contains("least-outstanding") && s.contains("least-kv"), "{s}");
     }
 }

@@ -497,8 +497,13 @@ impl Simulate for ServingSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        DisaggConfig, Fabric, FabricGraph, FleetEngine, FleetReport, FleetShape,
+        PairingPolicyKind, ReplicaRole, RoutingPolicyKind,
+    };
     use llmss_model::ModelSpec;
-    use llmss_sched::{Dataset, TraceGenerator};
+    use llmss_net::LinkSpec;
+    use llmss_sched::{bursty_trace, BurstyTraceSpec, Dataset, TraceGenerator};
 
     fn small_trace(n: usize) -> Vec<Request> {
         TraceGenerator::new(Dataset::Alpaca, 11).rate_per_s(50.0).generate(n)
@@ -614,5 +619,328 @@ mod tests {
         let b = ServingSimulator::new(config(), small_trace(5)).unwrap().run();
         assert_eq!(a.sim_duration_ps, b.sim_duration_ps);
         assert_eq!(a.iterations.len(), b.iterations.len());
+    }
+
+    // The multi-replica shapes end to end: a cluster of these
+    // simulators behind a router (`FleetEngine::cluster`) and a
+    // disaggregated prefill/decode deployment (`FleetEngine::disagg`).
+
+    fn cluster_trace(n: usize, rate: f64) -> Vec<Request> {
+        TraceGenerator::new(Dataset::Alpaca, 13).rate_per_s(rate).generate(n)
+    }
+
+    fn cluster(n: usize, routing: RoutingPolicyKind, trace: Vec<Request>) -> FleetEngine {
+        FleetEngine::cluster(vec![config(); n], routing, 0, trace).unwrap()
+    }
+
+    #[test]
+    fn single_replica_cluster_matches_standalone_simulator() {
+        let t = cluster_trace(12, 40.0);
+        let standalone = ServingSimulator::new(config(), t.clone()).unwrap().run();
+        let cluster = cluster(1, RoutingPolicyKind::RoundRobin, t).run();
+        assert_eq!(cluster.total_completions(), standalone.completions.len());
+        assert_eq!(cluster.makespan_ps(), standalone.sim_duration_ps);
+        // Same requests, same finish times: the router layer is
+        // transparent when there is nothing to balance.
+        let mut a = standalone.completions.clone();
+        let mut b = cluster.completions.clone();
+        a.sort_by_key(|c| c.id);
+        b.sort_by_key(|c| c.id);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_request_served_exactly_once_across_replicas() {
+        for kind in RoutingPolicyKind::ALL {
+            let cluster =
+                FleetEngine::cluster(vec![config(); 3], kind, 5, cluster_trace(30, 100.0))
+                    .unwrap()
+                    .run();
+            let mut ids: Vec<u64> = cluster.completions.iter().map(|c| c.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..30).collect::<Vec<u64>>(), "policy {kind}");
+            assert_eq!(cluster.assignments.len(), 30);
+        }
+    }
+
+    #[test]
+    fn round_robin_spreads_requests_evenly() {
+        let cluster = cluster(4, RoutingPolicyKind::RoundRobin, cluster_trace(32, 100.0)).run();
+        for replica in &cluster.replicas {
+            assert_eq!(replica.routed, 8);
+        }
+    }
+
+    #[test]
+    fn arrivals_route_before_later_replica_work() {
+        // A burst at t=0 followed by a straggler: the straggler must be
+        // routed when the cluster's virtual time reaches its arrival,
+        // seeing queue depths that reflect the burst's progress.
+        let mut t = cluster_trace(8, 1_000.0);
+        t.push(Request::new(8, 64, 4, 2_000_000_000)); // 2 ms
+        let mut sim = cluster(2, RoutingPolicyKind::LeastOutstanding, t);
+        while sim.step() {}
+        assert_eq!(sim.assignments().len(), 9);
+    }
+
+    #[test]
+    fn heterogeneous_replicas_carry_distinct_configs() {
+        // Replica 0 batches freely; replica 1 is capped at one sequence.
+        // Both serve, and each iteration trace reflects its own config.
+        let roomy = config();
+        let tight = config().max_batch(1);
+        let sim = FleetEngine::cluster(
+            vec![roomy, tight],
+            RoutingPolicyKind::RoundRobin,
+            0,
+            cluster_trace(20, 2_000.0),
+        )
+        .unwrap();
+        let roles: Vec<ReplicaRole> = sim.slots().iter().map(|s| s.role).collect();
+        assert_eq!(roles, [ReplicaRole::Unified, ReplicaRole::Unified]);
+        let report = sim.run();
+        assert_eq!(report.total_completions(), 20);
+        let max_batch = |r: usize| {
+            report.replicas[r].report.iterations.iter().map(|it| it.batch_size).max().unwrap()
+        };
+        assert!(max_batch(0) > 1, "the roomy replica should batch under a burst");
+        assert_eq!(max_batch(1), 1, "the capped replica must never exceed its limit");
+    }
+
+    #[test]
+    fn decode_replicas_never_receive_fresh_arrivals() {
+        let mut sim = FleetEngine::cluster(
+            vec![config(), config().decode_only()],
+            RoutingPolicyKind::LeastOutstanding,
+            0,
+            cluster_trace(10, 200.0),
+        )
+        .unwrap();
+        assert_eq!(sim.slots()[1].role, ReplicaRole::Decode);
+        while sim.step() {}
+        assert!(
+            sim.assignments().iter().all(|&(_, replica)| replica == 0),
+            "the decode replica took a fresh arrival"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no KV handoff")]
+    fn prefill_only_replicas_rejected_without_handoff() {
+        // A plain cluster would route arrivals to the prefill replica and
+        // report them "complete" with one token — refuse loudly instead.
+        let _ = FleetEngine::cluster(
+            vec![config().prefill_only(), config()],
+            RoutingPolicyKind::RoundRobin,
+            0,
+            cluster_trace(4, 100.0),
+        );
+    }
+
+    #[test]
+    fn replica_clocks_stay_interleaved() {
+        let mut sim = cluster(2, RoutingPolicyKind::RoundRobin, cluster_trace(16, 200.0));
+        let mut max_skew = 0i128;
+        while sim.step() {
+            let clocks: Vec<TimePs> = sim.sims().iter().map(|r| r.clock_ps()).collect();
+            // Busy replicas may drift apart by the length of the
+            // iterations in flight, but the min-heap keeps them from
+            // racing unboundedly ahead of one another.
+            if sim.sims().iter().all(|r| r.next_ready_ps().is_some()) {
+                let skew = clocks[0] as i128 - clocks[1] as i128;
+                max_skew = max_skew.max(skew.abs());
+            }
+        }
+        // Generous bound: a single gpt2 iteration is far below 50 ms.
+        assert!(max_skew < 50_000_000_000, "skew {max_skew} ps");
+    }
+
+    fn disagg_trace() -> Vec<Request> {
+        bursty_trace(&BurstyTraceSpec {
+            bursts: 2,
+            burst_size: 8,
+            ..BurstyTraceSpec::default()
+        })
+    }
+
+    fn run_disagg(disagg: DisaggConfig, trace: Vec<Request>) -> FleetReport {
+        let fabric = Fabric::fifo(vec![disagg.kv_link]);
+        FleetEngine::disagg(config(), config(), disagg, fabric, trace)
+            .expect("gpt2 fits a single Table-I NPU")
+            .run()
+    }
+
+    #[test]
+    fn every_request_prefills_transfers_and_decodes_once() {
+        let trace = disagg_trace();
+        let report = run_disagg(DisaggConfig::new(2, 2), trace.clone());
+        assert_eq!(report.total_completions(), trace.len());
+        let mut ids: Vec<u64> = report.completions.iter().map(|c| c.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), trace.len(), "duplicated or lost requests");
+        assert_eq!(report.handoffs().count(), trace.len(), "a request skipped its handoff");
+        for (c, t) in report.handoffs() {
+            assert!(t.ready_ps > c.arrival_ps, "request {}: acausal prefill", c.id);
+            assert!(t.start_ps >= t.ready_ps);
+            assert!(t.done_ps > t.start_ps);
+            assert!(c.first_token_ps > t.done_ps, "decode before KV arrived");
+            assert!(c.finish_ps >= c.first_token_ps);
+            let original = trace.iter().find(|r| r.id == c.id).unwrap();
+            assert_eq!(c.output_len, original.output_len);
+        }
+    }
+
+    #[test]
+    fn transfer_bytes_follow_prompt_length() {
+        let report = run_disagg(DisaggConfig::new(1, 1), disagg_trace());
+        let per_token = ModelSpec::gpt2().kv_bytes_per_token();
+        for (c, t) in report.handoffs() {
+            assert_eq!(t.bytes, c.input_len as u64 * per_token);
+        }
+    }
+
+    #[test]
+    fn shared_link_serializes_transfers_fifo() {
+        // A starved link forces queueing: transfers must never overlap,
+        // and each starts no earlier than its prefill finished.
+        let report = run_disagg(DisaggConfig::new(2, 1).kv_link_gbps(0.5), disagg_trace());
+        let mut transfers: Vec<_> =
+            report.transfers.iter().map(|(_, t)| (t.start_ps, t.done_ps)).collect();
+        transfers.sort_unstable();
+        for pair in transfers.windows(2) {
+            assert!(pair[0].1 <= pair[1].0, "transfers overlap on the shared link");
+        }
+    }
+
+    #[test]
+    fn link_serves_transfers_in_kv_ready_order() {
+        // Two prefill replicas, mixed prompt sizes, a slow link: an
+        // early-*started* heavy prefill must not jump the queue ahead of
+        // a lighter prefill whose KV was *ready* first. Replaying the
+        // link FIFO in ready order must reproduce every start time
+        // exactly (no phantom queueing from event-discovery order).
+        let trace = bursty_trace(&BurstyTraceSpec {
+            bursts: 2,
+            burst_size: 10,
+            heavy_every: 2,
+            ..BurstyTraceSpec::default()
+        });
+        let report = run_disagg(
+            DisaggConfig::new(2, 2).kv_link_gbps(2.0).routing(RoutingPolicyKind::RoundRobin),
+            trace,
+        );
+        let mut by_ready: Vec<_> = report.transfers.iter().collect();
+        by_ready.sort_by_key(|(id, t)| (t.ready_ps, *id));
+        let mut link_free = 0;
+        for (id, t) in by_ready {
+            assert_eq!(
+                t.start_ps,
+                t.ready_ps.max(link_free),
+                "request {id}: transfer not served in KV-ready order"
+            );
+            link_free = t.done_ps;
+        }
+    }
+
+    #[test]
+    fn fair_single_fabric_serves_every_request_causally() {
+        // Same deployment, but the wire is a fair-sharing flow model:
+        // transfers enter the fabric the moment their KV is ready (no
+        // FIFO queueing) and deliveries stay causal.
+        let disagg = DisaggConfig::new(2, 2).kv_link_gbps(2.0);
+        let endpoints = disagg.prefill_replicas + disagg.decode_replicas;
+        let graph = FabricGraph::single(endpoints, disagg.kv_link);
+        let trace = disagg_trace();
+        let report = FleetEngine::disagg(
+            config(),
+            config(),
+            disagg,
+            Fabric::fair("single", graph),
+            trace.clone(),
+        )
+        .expect("gpt2 fits a single Table-I NPU")
+        .run();
+        assert_eq!(report.total_completions(), trace.len());
+        for (c, t) in report.handoffs() {
+            assert_eq!(
+                t.start_ps, t.ready_ps,
+                "request {}: a fair fabric admits flows at their ready time",
+                c.id
+            );
+            assert!(t.done_ps > t.start_ps);
+            assert!(c.first_token_ps > t.done_ps, "decode before KV arrived");
+        }
+    }
+
+    #[test]
+    fn deterministic_under_fixed_seed() {
+        let sig = |report: &FleetReport| {
+            report
+                .handoffs()
+                .map(|(c, t)| (c.id, t.ready_ps, t.done_ps, c.finish_ps))
+                .collect::<Vec<_>>()
+        };
+        let a = run_disagg(DisaggConfig::new(2, 2).seed(9), disagg_trace());
+        let b = run_disagg(DisaggConfig::new(2, 2).seed(9), disagg_trace());
+        assert_eq!(sig(&a), sig(&b));
+    }
+
+    #[test]
+    fn sticky_pairing_follows_request_id() {
+        let report = run_disagg(
+            DisaggConfig::new(1, 3).pairing(PairingPolicyKind::Sticky),
+            disagg_trace(),
+        );
+        for (c, t) in report.handoffs() {
+            // Decode replicas sit after the one prefill replica.
+            assert_eq!((t.to - 1) as u64, c.id % 3);
+        }
+    }
+
+    #[test]
+    fn pairing_policies_are_selectable_and_complete() {
+        for pairing in PairingPolicyKind::ALL {
+            let report = run_disagg(DisaggConfig::new(1, 2).pairing(pairing), disagg_trace());
+            assert_eq!(report.total_completions(), 16, "pairing {pairing}");
+            assert_eq!(report.shape, FleetShape::Disagg(pairing));
+        }
+    }
+
+    #[test]
+    fn decode_pool_overlaps_transfers_with_execution() {
+        // With a slow link and several requests, some decode iterations
+        // must run while later transfers are still in flight — the
+        // whole point of overlapping the handoff in virtual time.
+        let report = run_disagg(DisaggConfig::new(1, 1).kv_link_gbps(1.0), disagg_trace());
+        let decode = report.pool(ReplicaRole::Decode).next().expect("one decode replica");
+        let overlapped = decode.report.iterations.iter().any(|it| {
+            report
+                .transfers
+                .iter()
+                .any(|(_, t)| it.start_ps < t.done_ps && t.start_ps < it.start_ps)
+        });
+        assert!(overlapped, "no decode iteration overlapped an in-flight transfer");
+    }
+
+    #[test]
+    fn pairing_kind_round_trips_through_str() {
+        for kind in PairingPolicyKind::ALL {
+            let parsed: PairingPolicyKind = kind.as_str().parse().unwrap();
+            assert_eq!(parsed, kind);
+        }
+        assert!("nope".parse::<PairingPolicyKind>().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "same model")]
+    fn mismatched_models_rejected() {
+        let _ = FleetEngine::disagg(
+            SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel(),
+            SimConfig::new(ModelSpec::gpt3_7b()).npu_num(4).tensor_parallel(),
+            DisaggConfig::new(1, 1),
+            Fabric::fifo(vec![LinkSpec::cxl()]),
+            Vec::new(),
+        );
     }
 }

@@ -1,47 +1,41 @@
-//! The three serving shapes behind one value: [`AnySimulator`] and its
+//! The serving shapes behind one value: [`AnySimulator`] and its
 //! [`AnyReport`].
 //!
 //! `Scenario::build` returns an [`AnySimulator`]; callers drive it
 //! through the [`Simulate`] trait without caring whether the scenario
-//! described a single replica, a routed cluster, or a disaggregated
-//! deployment, and the resulting [`AnyReport`] writes the same artifact
-//! set the shape's native report writes.
+//! described a single replica, a routed cluster, a disaggregated
+//! deployment or a reshaping fleet — every multi-replica shape is one
+//! [`FleetEngine`] — and the resulting [`AnyReport`] writes the artifact
+//! set of the shape that built it.
 
-use llmss_cluster::{ClusterReport, ClusterSimulator};
 use llmss_core::{
     FleetEngine, FleetReport, ReportOutput, ReuseStats, ServingSimulator, SimEvent, SimReport,
     Simulate, SloSummary, Telemetry,
 };
-use llmss_disagg::{DisaggReport, DisaggSimulator};
 use llmss_sched::{Request, TimePs};
 
-/// A built scenario: one of the three serving shapes, driven uniformly
-/// through [`Simulate`].
+/// A built scenario: one replica or a fleet, driven uniformly through
+/// [`Simulate`].
 #[derive(Debug)]
 // One AnySimulator exists per run; variant size spread is irrelevant at
-// that cardinality and boxing the fleets would tax every step call.
+// that cardinality and boxing the fleet would tax every step call.
 #[allow(clippy::large_enum_variant)]
 pub enum AnySimulator {
     /// One unified serving replica (boxed: a `ServingSimulator` is an
-    /// order of magnitude larger than the fleet handles).
+    /// order of magnitude larger than a fleet handle).
     Single(Box<ServingSimulator>),
-    /// A multi-replica cluster behind a router.
-    Cluster(ClusterSimulator),
-    /// A disaggregated prefill/decode deployment.
-    Disagg(DisaggSimulator),
-    /// A `[fleet]` scenario: the fleet engine under an explicit control
-    /// plane (static / flex / autoscale), optionally heterogeneous.
+    /// Every multi-replica shape: a cluster behind a router, a
+    /// disaggregated prefill/decode deployment, or a `[fleet]` scenario
+    /// under an explicit control plane.
     Fleet(FleetEngine),
 }
 
 impl AnySimulator {
-    /// The shape's short name (`single` | `cluster` | `disagg`).
+    /// The shape's short name (`single` | `cluster` | `disagg` | `fleet`).
     pub fn shape(&self) -> &'static str {
         match self {
             AnySimulator::Single(_) => "single",
-            AnySimulator::Cluster(_) => "cluster",
-            AnySimulator::Disagg(_) => "disagg",
-            AnySimulator::Fleet(_) => "fleet",
+            AnySimulator::Fleet(s) => s.shape().as_str(),
         }
     }
 
@@ -50,10 +44,10 @@ impl AnySimulator {
         Simulate::run_to_completion(self)
     }
 
-    /// Attaches a telemetry handle to whichever shape this is. The
-    /// multi-replica shapes fan it out per replica through their engine;
-    /// the single shape scopes it to replica 0 and announces that
-    /// replica so the timeline's live-replica series starts at one.
+    /// Attaches a telemetry handle to whichever shape this is. A fleet
+    /// fans it out per replica through its engine; the single shape
+    /// scopes it to replica 0 and announces that replica so the
+    /// timeline's live-replica series starts at one.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         match self {
             AnySimulator::Single(s) => {
@@ -65,33 +59,24 @@ impl AnySimulator {
                 });
                 s.set_telemetry(scoped);
             }
-            AnySimulator::Cluster(s) => s.set_telemetry(telemetry),
-            AnySimulator::Disagg(s) => s.set_telemetry(telemetry),
             AnySimulator::Fleet(s) => s.set_telemetry(telemetry),
         }
     }
 
-    /// Sets the worker-thread budget for windowed fleet stepping on the
-    /// multi-replica shapes (byte-identical outcomes under any value;
-    /// a single replica has nothing to shard, so `Single` ignores it).
+    /// Sets the worker-thread budget for windowed fleet stepping
+    /// (byte-identical outcomes under any value; a single replica has
+    /// nothing to shard, so `Single` ignores it).
     pub fn set_shards(&mut self, shards: usize) {
-        match self {
-            AnySimulator::Single(_) => {}
-            AnySimulator::Cluster(s) => s.set_shards(shards),
-            AnySimulator::Disagg(s) => s.set_shards(shards),
-            AnySimulator::Fleet(s) => s.set_shards(shards),
+        if let AnySimulator::Fleet(s) = self {
+            s.set_shards(shards);
         }
     }
 
-    /// Arms the fleet-wide shared reuse cache on the multi-replica
-    /// shapes (a single replica has no peer to share with, so `Single`
-    /// ignores it).
+    /// Arms the fleet-wide shared reuse cache (a single replica has no
+    /// peer to share with, so `Single` ignores it).
     pub fn enable_shared_cache(&mut self) {
-        match self {
-            AnySimulator::Single(_) => {}
-            AnySimulator::Cluster(s) => s.enable_shared_cache(),
-            AnySimulator::Disagg(s) => s.enable_shared_cache(),
-            AnySimulator::Fleet(s) => s.enable_shared_cache(),
+        if let AnySimulator::Fleet(s) = self {
+            s.enable_shared_cache();
         }
     }
 }
@@ -102,8 +87,6 @@ impl Simulate for AnySimulator {
     fn push_request(&mut self, request: Request) {
         match self {
             AnySimulator::Single(s) => Simulate::push_request(&mut **s, request),
-            AnySimulator::Cluster(s) => Simulate::push_request(s, request),
-            AnySimulator::Disagg(s) => Simulate::push_request(s, request),
             AnySimulator::Fleet(s) => Simulate::push_request(s, request),
         }
     }
@@ -111,8 +94,6 @@ impl Simulate for AnySimulator {
     fn next_ready_ps(&self) -> Option<TimePs> {
         match self {
             AnySimulator::Single(s) => Simulate::next_ready_ps(&**s),
-            AnySimulator::Cluster(s) => Simulate::next_ready_ps(s),
-            AnySimulator::Disagg(s) => Simulate::next_ready_ps(s),
             AnySimulator::Fleet(s) => Simulate::next_ready_ps(s),
         }
     }
@@ -120,8 +101,6 @@ impl Simulate for AnySimulator {
     fn clock_ps(&self) -> TimePs {
         match self {
             AnySimulator::Single(s) => Simulate::clock_ps(&**s),
-            AnySimulator::Cluster(s) => Simulate::clock_ps(s),
-            AnySimulator::Disagg(s) => Simulate::clock_ps(s),
             AnySimulator::Fleet(s) => Simulate::clock_ps(s),
         }
     }
@@ -129,8 +108,6 @@ impl Simulate for AnySimulator {
     fn completed_requests(&self) -> usize {
         match self {
             AnySimulator::Single(s) => Simulate::completed_requests(&**s),
-            AnySimulator::Cluster(s) => Simulate::completed_requests(s),
-            AnySimulator::Disagg(s) => Simulate::completed_requests(s),
             AnySimulator::Fleet(s) => Simulate::completed_requests(s),
         }
     }
@@ -138,8 +115,6 @@ impl Simulate for AnySimulator {
     fn step(&mut self) -> bool {
         match self {
             AnySimulator::Single(s) => Simulate::step(&mut **s),
-            AnySimulator::Cluster(s) => Simulate::step(s),
-            AnySimulator::Disagg(s) => Simulate::step(s),
             AnySimulator::Fleet(s) => Simulate::step(s),
         }
     }
@@ -147,8 +122,6 @@ impl Simulate for AnySimulator {
     fn finalize(self) -> AnyReport {
         match self {
             AnySimulator::Single(s) => AnyReport::Single(Simulate::finalize(*s)),
-            AnySimulator::Cluster(s) => AnyReport::Cluster(Simulate::finalize(s)),
-            AnySimulator::Disagg(s) => AnyReport::Disagg(Simulate::finalize(s)),
             AnySimulator::Fleet(s) => AnyReport::Fleet(Simulate::finalize(s)),
         }
     }
@@ -160,22 +133,16 @@ impl Simulate for AnySimulator {
 pub enum AnyReport {
     /// A single-replica [`SimReport`].
     Single(SimReport),
-    /// A cluster [`ClusterReport`].
-    Cluster(ClusterReport),
-    /// A disaggregated [`DisaggReport`].
-    Disagg(DisaggReport),
-    /// A fleet-engine [`FleetReport`].
+    /// A [`FleetReport`] (cluster, disaggregated, or `[fleet]`).
     Fleet(FleetReport),
 }
 
 impl AnyReport {
-    /// The shape's short name (`single` | `cluster` | `disagg`).
+    /// The shape's short name (`single` | `cluster` | `disagg` | `fleet`).
     pub fn shape(&self) -> &'static str {
         match self {
             AnyReport::Single(_) => "single",
-            AnyReport::Cluster(_) => "cluster",
-            AnyReport::Disagg(_) => "disagg",
-            AnyReport::Fleet(_) => "fleet",
+            AnyReport::Fleet(r) => r.shape.as_str(),
         }
     }
 
@@ -183,8 +150,6 @@ impl AnyReport {
     pub fn total_completions(&self) -> usize {
         match self {
             AnyReport::Single(r) => r.completions.len(),
-            AnyReport::Cluster(r) => r.total_completions(),
-            AnyReport::Disagg(r) => r.total_completions(),
             AnyReport::Fleet(r) => r.total_completions(),
         }
     }
@@ -193,8 +158,6 @@ impl AnyReport {
     pub fn makespan_ps(&self) -> TimePs {
         match self {
             AnyReport::Single(r) => r.sim_duration_ps,
-            AnyReport::Cluster(r) => r.makespan_ps(),
-            AnyReport::Disagg(r) => r.makespan_ps(),
             AnyReport::Fleet(r) => r.makespan_ps(),
         }
     }
@@ -208,8 +171,6 @@ impl AnyReport {
     pub fn generation_throughput(&self) -> f64 {
         match self {
             AnyReport::Single(r) => r.generation_throughput(),
-            AnyReport::Cluster(r) => r.generation_throughput(),
-            AnyReport::Disagg(r) => r.generation_throughput(),
             AnyReport::Fleet(r) => r.generation_throughput(),
         }
     }
@@ -218,8 +179,6 @@ impl AnyReport {
     pub fn slo(&self) -> SloSummary {
         match self {
             AnyReport::Single(r) => r.slo(),
-            AnyReport::Cluster(r) => r.slo(),
-            AnyReport::Disagg(r) => r.slo(),
             AnyReport::Fleet(r) => r.slo(),
         }
     }
@@ -229,8 +188,6 @@ impl AnyReport {
     pub fn reuse(&self) -> ReuseStats {
         match self {
             AnyReport::Single(r) => r.reuse,
-            AnyReport::Cluster(r) => r.aggregate_reuse(),
-            AnyReport::Disagg(r) => r.aggregate_reuse(),
             AnyReport::Fleet(r) => r.aggregate_reuse(),
         }
     }
@@ -239,31 +196,15 @@ impl AnyReport {
     pub fn as_single(&self) -> Option<&SimReport> {
         match self {
             AnyReport::Single(r) => Some(r),
-            _ => None,
+            AnyReport::Fleet(_) => None,
         }
     }
 
-    /// The cluster report, if this run was one.
-    pub fn as_cluster(&self) -> Option<&ClusterReport> {
-        match self {
-            AnyReport::Cluster(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The disaggregated report, if this run was one.
-    pub fn as_disagg(&self) -> Option<&DisaggReport> {
-        match self {
-            AnyReport::Disagg(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The fleet report, if this run was one.
+    /// The fleet report, if this run built a fleet.
     pub fn as_fleet(&self) -> Option<&FleetReport> {
         match self {
+            AnyReport::Single(_) => None,
             AnyReport::Fleet(r) => Some(r),
-            _ => None,
         }
     }
 }
@@ -272,8 +213,6 @@ impl ReportOutput for AnyReport {
     fn summary(&self) -> String {
         match self {
             AnyReport::Single(r) => ReportOutput::summary(r),
-            AnyReport::Cluster(r) => ReportOutput::summary(r),
-            AnyReport::Disagg(r) => ReportOutput::summary(r),
             AnyReport::Fleet(r) => ReportOutput::summary(r),
         }
     }
@@ -281,8 +220,6 @@ impl ReportOutput for AnyReport {
     fn artifacts(&self) -> Vec<(&'static str, String)> {
         match self {
             AnyReport::Single(r) => r.artifacts(),
-            AnyReport::Cluster(r) => r.artifacts(),
-            AnyReport::Disagg(r) => r.artifacts(),
             AnyReport::Fleet(r) => r.artifacts(),
         }
     }

@@ -2,8 +2,8 @@
 //! control planes (role flexing, autoscaling) as declarative values.
 //!
 //! A scenario with a `[fleet]` table builds a
-//! [`FleetEngine`](llmss_core::FleetEngine) directly instead of the
-//! cluster/disagg wrappers:
+//! [`FleetEngine`](llmss_core::FleetEngine) from its own replica list and
+//! control plane instead of the cluster/disagg constructors:
 //!
 //! ```toml
 //! [fleet]

@@ -2,13 +2,11 @@
 //! serving experiment, validated at build time.
 
 // llmss-lint: allow(p001, file, reason = "emit paths assert invariants established by validate(); serializing a validated scenario is infallible")
-use llmss_cluster::{ClusterConfig, ClusterSimulator, RoutingPolicyKind};
 use llmss_core::{
-    AutoscaleConfig, AutoscaleControl, ControlPlane, FleetEngine, FlexPools, FlexPoolsConfig,
-    KvBucket, KvManage, ParallelismKind, PimMode, ReplicaRole, ServingSimulator, SimConfig,
-    StaticControl,
+    AutoscaleConfig, AutoscaleControl, ControlPlane, DisaggConfig, Fabric, FleetEngine,
+    FlexPools, FlexPoolsConfig, KvBucket, KvManage, PairingPolicyKind, ParallelismKind,
+    PimMode, ReplicaRole, RoutingPolicyKind, ServingSimulator, SimConfig, StaticControl,
 };
-use llmss_disagg::{DisaggConfig, DisaggSimulator, PairingPolicyKind};
 use llmss_model::ModelSpec;
 use llmss_net::LinkSpec;
 use llmss_sched::{Request, SchedulingPolicy, TimePs, Workload, WorkloadSpec};
@@ -76,7 +74,7 @@ impl std::fmt::Display for ServingShape {
 ///
 /// ```no_run
 /// use llmss_scenario::Scenario;
-/// use llmss_cluster::RoutingPolicyKind;
+/// use llmss_core::RoutingPolicyKind;
 /// use llmss_sched::{BurstyTraceSpec, WorkloadSpec};
 ///
 /// let report = Scenario::model("gpt2")
@@ -800,26 +798,31 @@ impl Scenario {
             ServingShape::Single => {
                 AnySimulator::Single(Box::new(ServingSimulator::new(cfg, trace)?))
             }
-            ServingShape::Cluster { replicas } => {
-                let cluster =
-                    ClusterConfig::new(replicas).routing(self.routing).seed(self.seed);
-                AnySimulator::Cluster(ClusterSimulator::new(cfg, cluster, trace)?)
-            }
+            ServingShape::Cluster { replicas } => AnySimulator::Fleet(FleetEngine::cluster(
+                vec![cfg; replicas],
+                self.routing,
+                self.seed,
+                trace,
+            )?),
             ServingShape::Disagg { prefill, decode } => {
                 let disagg = DisaggConfig::new(prefill, decode)
                     .kv_link_gbps(self.kv_link_gbps)
                     .routing(self.routing)
                     .pairing(self.pairing)
                     .seed(self.seed);
-                AnySimulator::Disagg(match &self.fabric {
+                let fabric = match &self.fabric {
                     // No [fabric] table: the legacy dedicated FIFO wire,
                     // byte-identical to pre-fabric reports.
-                    None => DisaggSimulator::new(cfg.clone(), cfg, disagg, trace)?,
-                    Some(fabric) => {
-                        let built = fabric.build(prefill + decode, self.kv_link_gbps)?;
-                        DisaggSimulator::with_fabric(cfg.clone(), cfg, disagg, built, trace)?
-                    }
-                })
+                    None => Fabric::fifo(vec![disagg.kv_link]),
+                    Some(fabric) => fabric.build(prefill + decode, self.kv_link_gbps)?,
+                };
+                AnySimulator::Fleet(FleetEngine::disagg(
+                    cfg.clone(),
+                    cfg,
+                    disagg,
+                    fabric,
+                    trace,
+                )?)
             }
             ServingShape::Fleet { replicas, .. } => {
                 let fleet = self.fleet.as_ref().expect("the fleet shape has a spec");

@@ -45,9 +45,11 @@ fn main() {
             .workload(WorkloadSpec::from(spec));
         let report = scenario.run().expect("gpt2 fits a single Table-I NPU");
         assert_eq!(report.total_completions(), spec.total_requests());
-        let cluster = report.as_cluster().expect("replicas(4) selects the cluster shape");
-        let ttft = cluster.ttft_percentiles().expect("every run completes requests");
-        let lat = cluster.latency_percentiles().expect("every run completes requests");
+        assert_eq!(report.shape(), "cluster", "replicas(4) selects the cluster shape");
+        let cluster = report.as_fleet().expect("a cluster is a fleet");
+        let slo = cluster.slo();
+        let ttft = slo.ttft.expect("every run completes requests");
+        let lat = slo.latency.expect("every run completes requests");
         println!(
             "{:<18} {:>8.3}s {:>8.3}s {:>8.3}s {:>9.3}s {:>10.2}",
             kind.to_string(),

@@ -22,14 +22,13 @@
 //!
 //! Run with `cargo run --release --example congestion_ab`.
 
-use llmservingsim::core::{Fabric, FabricGraph, FabricTopology, SimConfig};
-use llmservingsim::disagg::{
-    DisaggCompletion, DisaggConfig, DisaggReport, DisaggSimulator, PairingPolicyKind,
+use llmservingsim::core::{
+    DisaggConfig, Fabric, FabricGraph, FabricTopology, FleetEngine, FleetReport,
+    PairingPolicyKind, RoutingPolicyKind, SimConfig, TtftComponents,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
-use llmservingsim::prelude::RoutingPolicyKind;
-use llmservingsim::sched::Request;
+use llmservingsim::sched::{Completion, Request};
 
 const HEAVY_PROMPT: usize = 1024;
 const LIGHT_PROMPT: usize = 64;
@@ -50,12 +49,12 @@ fn trace() -> Vec<Request> {
     out
 }
 
-fn run(label: &str, fabric: Fabric) -> DisaggReport {
+fn run(label: &str, fabric: Fabric) -> FleetReport {
     let config = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
     let disagg = DisaggConfig::new(2, 2)
         .routing(RoutingPolicyKind::Sticky)
         .pairing(PairingPolicyKind::Sticky);
-    let report = DisaggSimulator::with_fabric(config.clone(), config, disagg, fabric, trace())
+    let report = FleetEngine::disagg(config.clone(), config, disagg, fabric, trace())
         .expect("gpt2 fits a single Table-I NPU")
         .run();
     assert_eq!(report.total_completions(), 32, "{label}: every request completes");
@@ -64,12 +63,11 @@ fn run(label: &str, fabric: Fabric) -> DisaggReport {
 
 /// p99 of the transfer component (prefill done → KV landed) over one
 /// class of requests, in microseconds.
-fn transfer_p99_us(report: &DisaggReport, keep: impl Fn(&DisaggCompletion) -> bool) -> f64 {
+fn transfer_p99_us(report: &FleetReport, keep: impl Fn(&Completion) -> bool) -> f64 {
     let mut samples: Vec<f64> = report
-        .completions
-        .iter()
-        .filter(|c| keep(c))
-        .map(|c| c.transfer_component_ps() as f64 / 1e6)
+        .handoffs()
+        .filter(|(c, _)| keep(c))
+        .map(|(c, t)| TtftComponents::of(c, t).transfer_ps as f64 / 1e6)
         .collect();
     assert!(!samples.is_empty(), "the trace always holds both classes");
     samples.sort_by(f64::total_cmp);
@@ -105,8 +103,8 @@ fn main() {
         ),
     );
 
-    let light = |c: &DisaggCompletion| c.input_len == LIGHT_PROMPT;
-    let heavy = |c: &DisaggCompletion| c.input_len == HEAVY_PROMPT;
+    let light = |c: &Completion| c.input_len == LIGHT_PROMPT;
+    let heavy = |c: &Completion| c.input_len == HEAVY_PROMPT;
     println!("fabric    light p99 transfer   heavy p99 transfer");
     for (name, report) in [("star4", &star), ("clique4", &clique)] {
         println!(

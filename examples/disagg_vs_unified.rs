@@ -52,7 +52,8 @@ fn main() {
         .run()
         .expect("gpt2 fits a single Table-I NPU");
     assert_eq!(unified_report.total_completions(), trace.len());
-    let unified = unified_report.as_cluster().expect("replicas(2) is the cluster shape");
+    assert_eq!(unified_report.shape(), "cluster", "replicas(2) is the cluster shape");
+    let unified = unified_report.as_fleet().expect("a cluster is a fleet");
 
     // B: disaggregated — one prefill replica, one decode replica.
     let run_disagg = |gbps: f64| {
@@ -65,12 +66,14 @@ fn main() {
         report
     };
     let disagg_report = run_disagg(128.0);
-    let disagg = disagg_report.as_disagg().expect("disagg(1, 1) is the disagg shape");
+    assert_eq!(disagg_report.shape(), "disagg", "disagg(1, 1) is the disagg shape");
+    let disagg = disagg_report.as_fleet().expect("a disaggregated deployment is a fleet");
 
-    let u_tpot = unified.tpot_percentiles().expect("completions exist");
-    let d_tpot = disagg.tpot_percentiles().expect("completions exist");
-    let u_ttft = unified.ttft_percentiles().expect("completions exist");
-    let d_ttft = disagg.ttft_percentiles().expect("completions exist");
+    let (u_slo, d_slo) = (unified.slo(), disagg.slo());
+    let u_tpot = u_slo.tpot.expect("completions exist");
+    let d_tpot = d_slo.tpot.expect("completions exist");
+    let u_ttft = u_slo.ttft.expect("completions exist");
+    let d_ttft = d_slo.ttft.expect("completions exist");
 
     println!("{:<26} {:>12} {:>12}", "metric", "unified 2R", "disagg 1P+1D");
     println!("{:<26} {:>11.4}s {:>11.4}s", "tpot p50", u_tpot.p50_s, d_tpot.p50_s);
@@ -89,8 +92,8 @@ fn main() {
          pool util prefill={:.2} decode={:.2}",
         split.total_s(),
         disagg.total_kv_bytes() as f64 / (1u64 << 20) as f64,
-        disagg.prefill_utilization(),
-        disagg.decode_utilization(),
+        disagg.pool_utilization(ReplicaRole::Prefill),
+        disagg.pool_utilization(ReplicaRole::Decode),
     );
 
     assert!(
@@ -103,7 +106,7 @@ fn main() {
 
     // The cost side: starve the KV link and watch the transfer component.
     let starved_report = run_disagg(1.0);
-    let starved = starved_report.as_disagg().expect("same shape as the fast link");
+    let starved = starved_report.as_fleet().expect("same shape as the fast link");
     let fast_split = split;
     let starved_split = starved.ttft_split().expect("completions exist");
     println!(
@@ -111,8 +114,8 @@ fn main() {
          (p99 {:.4}s -> {:.4}s)",
         fast_split.transfer_s,
         starved_split.transfer_s,
-        disagg.transfer_percentiles().expect("completions exist").p99_s,
-        starved.transfer_percentiles().expect("completions exist").p99_s,
+        disagg.component_percentiles(|c| c.transfer_ps).expect("completions exist").p99_s,
+        starved.component_percentiles(|c| c.transfer_ps).expect("completions exist").p99_s,
     );
     assert!(
         starved_split.transfer_s > 10.0 * fast_split.transfer_s,

@@ -11,14 +11,24 @@ fn sharegpt_trace(n: usize) -> Vec<Request> {
     TraceGenerator::new(Dataset::ShareGpt, 42).rate_per_s(60.0).generate(n)
 }
 
+/// `replicas` identical replicas behind `routing`, run to drain.
+fn run_cluster(
+    replicas: usize,
+    routing: RoutingPolicyKind,
+    seed: u64,
+    trace: Vec<Request>,
+) -> FleetReport {
+    FleetEngine::cluster(vec![replica_config(); replicas], routing, seed, trace).unwrap().run()
+}
+
 /// `(makespan, assignments, sorted (id, first_token, finish) triples)`.
 type ReportSignature = (u64, Vec<(u64, usize)>, Vec<(u64, u64, u64)>);
 
 /// A deterministic signature of everything simulation-dependent in a
 /// cluster report (wall-clock timings excluded, as they never reproduce).
-fn signature(report: &ClusterReport) -> ReportSignature {
+fn signature(report: &FleetReport) -> ReportSignature {
     let mut completions: Vec<(u64, u64, u64)> =
-        report.completions().map(|c| (c.id, c.first_token_ps, c.finish_ps)).collect();
+        report.completions.iter().map(|c| (c.id, c.first_token_ps, c.finish_ps)).collect();
     completions.sort_unstable();
     (report.makespan_ps(), report.assignments.clone(), completions)
 }
@@ -27,21 +37,15 @@ fn signature(report: &ClusterReport) -> ReportSignature {
 fn two_replicas_complete_200_sharegpt_requests_under_every_policy() {
     let trace = sharegpt_trace(200);
     for kind in RoutingPolicyKind::ALL {
-        let report = ClusterSimulator::new(
-            replica_config(),
-            ClusterConfig::new(2).routing(kind).seed(42),
-            trace.clone(),
-        )
-        .unwrap()
-        .run();
+        let report = run_cluster(2, kind, 42, trace.clone());
         assert_eq!(report.total_completions(), 200, "policy {kind}");
-        let mut ids: Vec<u64> = report.completions().map(|c| c.id).collect();
+        let mut ids: Vec<u64> = report.completions.iter().map(|c| c.id).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 200, "policy {kind}: duplicated or lost requests");
         assert!(report.makespan_ps() > 0);
         // TTFT must be causal for every request.
-        for c in report.completions() {
+        for c in &report.completions {
             let arrival = trace.iter().find(|r| r.id == c.id).unwrap().arrival_ps;
             assert!(c.first_token_ps > arrival, "policy {kind}: acausal TTFT");
         }
@@ -51,15 +55,7 @@ fn two_replicas_complete_200_sharegpt_requests_under_every_policy() {
 #[test]
 fn same_seed_and_policy_reproduce_identical_reports() {
     for kind in RoutingPolicyKind::ALL {
-        let run = || {
-            ClusterSimulator::new(
-                replica_config(),
-                ClusterConfig::new(3).routing(kind).seed(7),
-                sharegpt_trace(60),
-            )
-            .unwrap()
-            .run()
-        };
+        let run = || run_cluster(3, kind, 7, sharegpt_trace(60));
         let a = run();
         let b = run();
         assert_eq!(signature(&a), signature(&b), "policy {kind} is nondeterministic");
@@ -73,16 +69,7 @@ fn different_policies_actually_route_differently() {
     let trace = bursty_trace(&BurstyTraceSpec::default());
     let assignments: Vec<Vec<(u64, usize)>> = RoutingPolicyKind::ALL
         .iter()
-        .map(|&kind| {
-            ClusterSimulator::new(
-                replica_config(),
-                ClusterConfig::new(4).routing(kind).seed(11),
-                trace.clone(),
-            )
-            .unwrap()
-            .run()
-            .assignments
-        })
+        .map(|&kind| run_cluster(4, kind, 11, trace.clone()).assignments)
         .collect();
     let distinct: std::collections::HashSet<_> = assignments.iter().collect();
     assert!(distinct.len() >= 3, "policies collapsed to {} behaviors", distinct.len());
@@ -94,22 +81,14 @@ fn power_of_two_beats_round_robin_p99_ttft_on_skewed_bursty_trace() {
     // funnels all heavy requests to replica 0 while power-of-two-choices
     // observes queue depths and spreads them.
     let trace = bursty_trace(&BurstyTraceSpec::default());
-    let run = |kind: RoutingPolicyKind| {
-        ClusterSimulator::new(
-            replica_config(),
-            ClusterConfig::new(4).routing(kind).seed(42),
-            trace.clone(),
-        )
-        .unwrap()
-        .run()
-    };
+    let run = |kind: RoutingPolicyKind| run_cluster(4, kind, 42, trace.clone());
     let rr = run(RoutingPolicyKind::RoundRobin);
     let p2c = run(RoutingPolicyKind::PowerOfTwoChoices);
     assert_eq!(rr.total_completions(), trace.len());
     assert_eq!(p2c.total_completions(), trace.len());
 
-    let rr_p99 = rr.ttft_percentiles().unwrap().p99_s;
-    let p2c_p99 = p2c.ttft_percentiles().unwrap().p99_s;
+    let rr_p99 = rr.slo().ttft.unwrap().p99_s;
+    let p2c_p99 = p2c.slo().ttft.unwrap().p99_s;
     assert!(
         p2c_p99 < rr_p99,
         "power-of-two p99 TTFT ({p2c_p99:.4}s) should beat round-robin \
@@ -127,17 +106,9 @@ fn power_of_two_beats_round_robin_p99_ttft_on_skewed_bursty_trace() {
 #[test]
 fn more_replicas_cut_tail_latency_on_the_same_trace() {
     let trace = sharegpt_trace(80);
-    let run = |n: usize| {
-        ClusterSimulator::new(
-            replica_config(),
-            ClusterConfig::new(n).routing(RoutingPolicyKind::LeastOutstanding),
-            trace.clone(),
-        )
-        .unwrap()
-        .run()
-    };
-    let one = run(1).latency_percentiles().unwrap();
-    let four = run(4).latency_percentiles().unwrap();
+    let run = |n: usize| run_cluster(n, RoutingPolicyKind::LeastOutstanding, 0, trace.clone());
+    let one = run(1).slo().latency.unwrap();
+    let four = run(4).slo().latency.unwrap();
     assert!(
         four.p99_s < one.p99_s,
         "scaling out should relieve queueing: 4-replica p99 {:.3}s vs {:.3}s",

@@ -12,8 +12,9 @@ fn prefill_heavy_trace() -> Vec<Request> {
     bursty_trace(&BurstyTraceSpec { bursts: 4, ..BurstyTraceSpec::prefill_heavy_mix(0.4, 42) })
 }
 
-fn run_disagg(config: DisaggConfig, trace: Vec<Request>) -> DisaggReport {
-    DisaggSimulator::new(replica_config(), replica_config(), config, trace)
+fn run_disagg(config: DisaggConfig, trace: Vec<Request>) -> FleetReport {
+    let fabric = Fabric::fifo(vec![config.kv_link]);
+    FleetEngine::disagg(replica_config(), replica_config(), config, fabric, trace)
         .expect("gpt2 fits a single Table-I NPU")
         .run()
 }
@@ -25,9 +26,10 @@ fn disagg_beats_unified_p99_tpot_on_prefill_heavy_bursty_trace() {
     // Same engine count both ways: 2 unified replicas vs 1 prefill + 1
     // decode. An adequate decode pool never co-batches a 1024-token
     // prefill with running decoders, so its token cadence stays tight.
-    let unified = ClusterSimulator::new(
-        replica_config(),
-        ClusterConfig::new(2).routing(RoutingPolicyKind::LeastOutstanding).seed(7),
+    let unified = FleetEngine::cluster(
+        vec![replica_config(); 2],
+        RoutingPolicyKind::LeastOutstanding,
+        7,
         trace.clone(),
     )
     .unwrap()
@@ -37,8 +39,8 @@ fn disagg_beats_unified_p99_tpot_on_prefill_heavy_bursty_trace() {
     assert_eq!(unified.total_completions(), trace.len());
     assert_eq!(disagg.total_completions(), trace.len());
 
-    let unified_tpot = unified.tpot_percentiles().unwrap();
-    let disagg_tpot = disagg.tpot_percentiles().unwrap();
+    let unified_tpot = unified.slo().tpot.unwrap();
+    let disagg_tpot = disagg.slo().tpot.unwrap();
     assert!(
         disagg_tpot.p99_s < unified_tpot.p99_s,
         "disaggregated p99 TPOT ({:.4}s) should beat unified ({:.4}s) when prompt \
@@ -48,14 +50,14 @@ fn disagg_beats_unified_p99_tpot_on_prefill_heavy_bursty_trace() {
     );
     // The decode pool runs pure decode batches: no disagg decode
     // iteration processes prompt tokens.
-    for it in disagg.decode_reports.iter().flat_map(|r| &r.iterations) {
+    for it in disagg.pool(ReplicaRole::Decode).flat_map(|r| &r.report.iterations) {
         assert_eq!(it.prompt_tokens, 0, "a prefill leaked into the decode pool");
     }
     // And the prefill pool never decodes: every completion leaves with
     // only its prefill token accounted for.
-    for r in &disagg.prefill_reports {
-        assert!(!r.iterations.is_empty());
-        assert!(r.completions.iter().all(|c| c.output_len == 1));
+    for r in disagg.pool(ReplicaRole::Prefill) {
+        assert!(!r.report.iterations.is_empty());
+        assert!(r.report.completions.iter().all(|c| c.output_len == 1));
     }
 }
 
@@ -74,28 +76,19 @@ fn starved_kv_link_visibly_inflates_transfer_component_of_ttft() {
         starved_split.transfer_s,
         fast_split.transfer_s
     );
-    let fast_p99 = fast.transfer_percentiles().unwrap().p99_s;
-    let starved_p99 = starved.transfer_percentiles().unwrap().p99_s;
+    let fast_p99 = fast.component_percentiles(|c| c.transfer_ps).unwrap().p99_s;
+    let starved_p99 = starved.component_percentiles(|c| c.transfer_ps).unwrap().p99_s;
     assert!(starved_p99 > 10.0 * fast_p99, "{starved_p99:.6}s vs {fast_p99:.6}s");
     // The inflation must show up in end-to-end TTFT, not just the split.
-    assert!(starved.ttft_percentiles().unwrap().p99_s > fast.ttft_percentiles().unwrap().p99_s);
+    assert!(starved.slo().ttft.unwrap().p99_s > fast.slo().ttft.unwrap().p99_s);
 }
 
 #[test]
 fn disagg_runs_are_deterministic_under_a_fixed_seed() {
-    let signature = |r: &DisaggReport| {
-        r.completions
-            .iter()
-            .map(|c| {
-                (
-                    c.id,
-                    c.prefill_replica,
-                    c.decode_replica,
-                    c.prefill_done_ps,
-                    c.transfer_done_ps,
-                    c.first_token_ps,
-                    c.finish_ps,
-                )
+    let signature = |r: &FleetReport| {
+        r.handoffs()
+            .map(|(c, t)| {
+                (c.id, t.from, t.to, t.ready_ps, t.done_ps, c.first_token_ps, c.finish_ps)
             })
             .collect::<Vec<_>>()
     };
@@ -113,9 +106,15 @@ fn disagg_runs_are_deterministic_under_a_fixed_seed() {
 #[test]
 fn ttft_components_partition_ttft_for_every_request() {
     let report = run_disagg(DisaggConfig::new(2, 2).seed(3), prefill_heavy_trace());
-    for c in &report.completions {
+    assert_eq!(
+        report.handoffs().count(),
+        report.total_completions(),
+        "a request skipped its handoff"
+    );
+    for (c, t) in report.handoffs() {
+        let split = TtftComponents::of(c, t);
         assert_eq!(
-            c.prefill_component_ps() + c.transfer_component_ps() + c.decode_component_ps(),
+            split.prefill_ps + split.transfer_ps + split.decode_ps,
             c.ttft_ps(),
             "request {}: TTFT components do not partition TTFT",
             c.id

@@ -12,8 +12,10 @@
 
 use proptest::prelude::*;
 
-use llmservingsim::core::{FabricGraph, FlowDone, FlowModel, ReportOutput};
-use llmservingsim::disagg::{DisaggConfig, DisaggSimulator, PairingPolicyKind};
+use llmservingsim::core::{
+    DisaggConfig, Fabric, FabricGraph, FleetEngine, FlowDone, FlowModel, PairingPolicyKind,
+    ReportOutput,
+};
 use llmservingsim::net::LinkSpec;
 use llmservingsim::scenario::Scenario;
 use llmservingsim::sched::Request;
@@ -213,19 +215,21 @@ fn equal_ready_transfers_commit_in_request_id_order() {
     // instant; a slow link makes the serialization visible.
     let trace = vec![Request::new(1, 128, 4, 0), Request::new(2, 128, 4, 0)];
     let disagg = DisaggConfig::new(1, 1).kv_link_gbps(0.5).pairing(PairingPolicyKind::Sticky);
-    let report = DisaggSimulator::new(config.clone(), config, disagg, trace).unwrap().run();
-    let mut completions = report.completions.clone();
-    completions.sort_by_key(|c| c.id);
-    let [first, second] = completions.as_slice() else {
-        panic!("both requests must complete, got {}", completions.len());
+    let fabric = Fabric::fifo(vec![disagg.kv_link]);
+    let report =
+        FleetEngine::disagg(config.clone(), config, disagg, fabric, trace).unwrap().run();
+    assert_eq!(report.total_completions(), 2, "both requests must complete");
+    // Transfers are sorted by request id.
+    let [(1, first), (2, second)] = report.transfers.as_slice() else {
+        panic!("both requests must hand off, got {:?}", report.transfers);
     };
     assert_eq!(
-        first.prefill_done_ps, second.prefill_done_ps,
+        first.ready_ps, second.ready_ps,
         "the scenario must produce an actual ready-time tie"
     );
-    assert_eq!(first.transfer_start_ps, first.prefill_done_ps);
+    assert_eq!(first.start_ps, first.ready_ps);
     assert_eq!(
-        second.transfer_start_ps, first.transfer_done_ps,
+        second.start_ps, first.done_ps,
         "request 2 must queue behind request 1 on the wire"
     );
 }
@@ -241,13 +245,14 @@ fn fair_fabric_resolves_ties_deterministically() {
     let run = || {
         let trace = vec![Request::new(1, 128, 4, 0), Request::new(2, 128, 4, 0)];
         let graph = FabricGraph::single(2, disagg.kv_link);
-        let fabric = llmservingsim::core::Fabric::fair("single", graph);
-        DisaggSimulator::with_fabric(config.clone(), config.clone(), disagg, fabric, trace)
+        let fabric = Fabric::fair("single", graph);
+        FleetEngine::disagg(config.clone(), config.clone(), disagg, fabric, trace)
             .unwrap()
             .run()
     };
     let first = run();
     let second = run();
     assert_eq!(first.completions, second.completions);
+    assert_eq!(first.transfers, second.transfers);
     assert_eq!(first.completions.len(), 2);
 }

@@ -1,10 +1,10 @@
 //! The fleet-engine acceptance suite.
 //!
-//! * **Engine equivalence** — `ClusterSimulator` and `DisaggSimulator`
-//!   are now thin compositions over `llmss_core::FleetEngine`; the
-//!   golden files under `tests/golden/` were generated by the
-//!   pre-refactor bespoke event loops, so byte-identical artifacts prove
-//!   the refactor changed no simulated behavior.
+//! * **Engine equivalence** — clusters and disaggregated deployments are
+//!   constructors of `llmss_core::FleetEngine`; the golden files under
+//!   `tests/golden/` were generated by the pre-refactor bespoke event
+//!   loops and report writers, so byte-identical artifacts prove the
+//!   refactors changed no simulated behavior.
 //! * **Control planes** — flexing never strands a request mid-drain and
 //!   autoscaling respects its `min..max` bounds (property tests).
 //! * **Sweep runner** — parallel sweeps are byte-identical to serial
@@ -39,10 +39,12 @@ fn scenario(name: &str) -> Scenario {
 fn scenario_corpus_reports_match_pre_refactor_goldens() {
     let corpus = [
         ("quickstart", vec!["-throughput.tsv"]),
-        ("cluster_small", vec!["-cluster.tsv"]),
+        ("cluster_small", vec!["-cluster.tsv", "-summary.json"]),
         ("cluster_routing", vec!["-cluster.tsv"]),
-        ("disagg_small", vec!["-disagg.tsv", "-disagg-metrics.tsv"]),
+        ("disagg_small", vec!["-disagg.tsv", "-disagg-metrics.tsv", "-summary.json"]),
         ("disagg_vs_unified", vec!["-disagg.tsv", "-disagg-metrics.tsv"]),
+        ("autoscale", vec!["-fleet.tsv", "-summary.json"]),
+        ("chaos", vec!["-fleet.tsv", "-summary.json"]),
     ];
     for (name, suffixes) in corpus {
         let report = scenario(name).run().unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -336,28 +338,26 @@ proptest! {
     }
 }
 
-/// A static fleet with explicit roles behaves like the disagg wrapper on
-/// the shared-surface metrics (same engine underneath, different report
-/// assembler).
+/// A static fleet with explicit roles behaves like the disagg
+/// constructor on the shared-surface metrics (same engine underneath,
+/// different artifact set).
 #[test]
 fn fleet_static_roles_match_disagg_wrapper() {
-    use llmservingsim::disagg::{DisaggConfig, DisaggSimulator, PairingPolicyKind};
+    use llmservingsim::core::{DisaggConfig, Fabric, PairingPolicyKind};
     let trace = bursty_trace(&BurstyTraceSpec {
         bursts: 2,
         burst_size: 8,
         ..BurstyTraceSpec::default()
     });
-    let disagg = DisaggSimulator::new(
-        gpt2_replica(),
-        gpt2_replica(),
-        DisaggConfig::new(2, 1)
-            .kv_link_gbps(32.0)
-            .routing(RoutingPolicyKind::LeastOutstanding)
-            .pairing(PairingPolicyKind::LeastKvLoad),
-        trace.clone(),
-    )
-    .unwrap()
-    .run();
+    let config = DisaggConfig::new(2, 1)
+        .kv_link_gbps(32.0)
+        .routing(RoutingPolicyKind::LeastOutstanding)
+        .pairing(PairingPolicyKind::LeastKvLoad);
+    let fabric = Fabric::fifo(vec![config.kv_link]);
+    let disagg =
+        FleetEngine::disagg(gpt2_replica(), gpt2_replica(), config, fabric, trace.clone())
+            .unwrap()
+            .run();
     let fleet = FleetEngine::new(
         vec![
             gpt2_replica().prefill_only(),

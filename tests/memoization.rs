@@ -5,13 +5,12 @@
 //! serving shapes (unified, cluster, disaggregated). Wall-clock is the
 //! only thing allowed to differ.
 
-use llmservingsim::cluster::{
-    bursty_trace, BurstyTraceSpec, ClusterConfig, ClusterSimulator, RoutingPolicyKind,
+use llmservingsim::core::{
+    DisaggConfig, Fabric, FleetEngine, FleetReport, ReplicaRole, RoutingPolicyKind,
+    ServingSimulator, SimConfig, SimReport,
 };
-use llmservingsim::core::{ServingSimulator, SimConfig, SimReport};
-use llmservingsim::disagg::{DisaggConfig, DisaggSimulator};
 use llmservingsim::model::ModelSpec;
-use llmservingsim::sched::{Dataset, Request, TraceGenerator};
+use llmservingsim::sched::{bursty_trace, BurstyTraceSpec, Dataset, Request, TraceGenerator};
 
 /// A mixed conversational trace whose request shapes overlap in KV range,
 /// so *exact* (bucket 1) signatures genuinely recur across requests —
@@ -66,9 +65,10 @@ fn unified_bucket1_memoization_is_bit_identical() {
 fn cluster_bucket1_memoization_is_bit_identical() {
     let trace = overlapping_trace(48);
     let cluster = |memo: bool| {
-        ClusterSimulator::new(
-            config(memo),
-            ClusterConfig::new(3).routing(RoutingPolicyKind::RoundRobin),
+        FleetEngine::cluster(
+            vec![config(memo); 3],
+            RoutingPolicyKind::RoundRobin,
+            0,
             trace.clone(),
         )
         .unwrap()
@@ -78,9 +78,9 @@ fn cluster_bucket1_memoization_is_bit_identical() {
     let plain = cluster(false);
 
     assert_eq!(memoized.makespan_ps(), plain.makespan_ps(), "cluster makespan");
-    assert_eq!(memoized.replica_reports.len(), plain.replica_reports.len(), "replica count");
-    for (i, (m, p)) in memoized.replica_reports.iter().zip(&plain.replica_reports).enumerate() {
-        assert_reports_equivalent(m, p, &format!("cluster replica {i}"));
+    assert_eq!(memoized.replicas.len(), plain.replicas.len(), "replica count");
+    for (i, (m, p)) in memoized.replicas.iter().zip(&plain.replicas).enumerate() {
+        assert_reports_equivalent(&m.report, &p.report, &format!("cluster replica {i}"));
     }
     assert!(
         memoized.aggregate_reuse().iteration_hits > 0,
@@ -92,7 +92,9 @@ fn cluster_bucket1_memoization_is_bit_identical() {
 fn disagg_bucket1_memoization_is_bit_identical() {
     let trace = decode_heavy_trace();
     let disagg = |memo: bool| {
-        DisaggSimulator::new(config(memo), config(memo), DisaggConfig::new(2, 2), trace.clone())
+        let disagg = DisaggConfig::new(2, 2);
+        let fabric = Fabric::fifo(vec![disagg.kv_link]);
+        FleetEngine::disagg(config(memo), config(memo), disagg, fabric, trace.clone())
             .unwrap()
             .run()
     };
@@ -100,21 +102,19 @@ fn disagg_bucket1_memoization_is_bit_identical() {
     let plain = disagg(false);
 
     assert_eq!(memoized.makespan_ps(), plain.makespan_ps(), "disagg makespan");
-    let lifecycle = |r: &llmservingsim::disagg::DisaggReport| {
-        r.completions
-            .iter()
-            .map(|c| {
-                (c.id, c.prefill_done_ps, c.transfer_done_ps, c.first_token_ps, c.finish_ps)
-            })
+    let lifecycle = |r: &FleetReport| {
+        r.handoffs()
+            .map(|(c, t)| (c.id, t.ready_ps, t.done_ps, c.first_token_ps, c.finish_ps))
             .collect::<Vec<_>>()
     };
     assert_eq!(lifecycle(&memoized), lifecycle(&plain), "per-request lifecycle");
-    for (pool, m, p) in [
-        ("prefill", &memoized.prefill_reports, &plain.prefill_reports),
-        ("decode", &memoized.decode_reports, &plain.decode_reports),
-    ] {
-        for (i, (mr, pr)) in m.iter().zip(p.iter()).enumerate() {
-            assert_reports_equivalent(mr, pr, &format!("disagg {pool} replica {i}"));
+    for role in [ReplicaRole::Prefill, ReplicaRole::Decode] {
+        for (i, (m, p)) in memoized.pool(role).zip(plain.pool(role)).enumerate() {
+            assert_reports_equivalent(
+                &m.report,
+                &p.report,
+                &format!("disagg {role} replica {i}"),
+            );
         }
     }
     assert!(memoized.aggregate_reuse().iteration_hits > 0, "disagg exact-mode cache never hit");

@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use llmservingsim::core::{DeviceKind, EngineStack};
+use llmservingsim::core::{
+    DeviceKind, DisaggConfig, EngineStack, Fabric, FleetEngine, PairingPolicyKind, ReplicaRole,
+    RoutingPolicyKind, ServingSimulator, SimConfig,
+};
 use llmservingsim::model::{
     BatchSignature, IterationWorkload, ModelSpec, Op, OpDims, OpKind, Roofline, SeqSlot,
     SigLayout,
@@ -11,7 +14,7 @@ use llmservingsim::net::{simulate_graph, ExecGraph, ExecPayload, LinkSpec, Topol
 use llmservingsim::npu::{enumerate_candidates, NpuConfig};
 use llmservingsim::sched::{
     partition_sub_batches, KvCache, KvCacheConfig, PartitionCriteria, Request, Scheduler,
-    SchedulerConfig,
+    SchedulerConfig, TimePs,
 };
 
 fn arb_matmul_dims() -> impl Strategy<Value = OpDims> {
@@ -263,5 +266,104 @@ proptest! {
             BatchSignature::of(&slots, &layout),
             BatchSignature::of(&shifted, &layout)
         );
+    }
+}
+
+fn arb_trace() -> impl Strategy<Value = Vec<Request>> {
+    proptest::collection::vec((16usize..600, 1usize..12, 0u64..50), 1..24).prop_map(|shapes| {
+        let mut clock: TimePs = 0;
+        shapes
+            .into_iter()
+            .enumerate()
+            .map(|(id, (input_len, output_len, gap_us))| {
+                clock += gap_us * 1_000_000;
+                Request::new(id as u64, input_len, output_len, clock)
+            })
+            .collect()
+    })
+}
+
+fn gpt2_replica() -> SimConfig {
+    SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel()
+}
+
+fn disagg(
+    prefill: SimConfig,
+    decode: SimConfig,
+    config: DisaggConfig,
+    trace: Vec<Request>,
+) -> FleetEngine {
+    let fabric = Fabric::fifo(vec![config.kv_link]);
+    FleetEngine::disagg(prefill, decode, config, fabric, trace)
+        .expect("gpt2 fits a single Table-I NPU")
+}
+
+/// The decode-pool replicas of a disaggregated fleet.
+fn decode_pool(sim: &FleetEngine) -> impl Iterator<Item = &ServingSimulator> {
+    sim.sims()
+        .iter()
+        .zip(sim.slots())
+        .filter(|(_, slot)| slot.home_role == ReplicaRole::Decode)
+        .map(|(replica, _)| replica)
+}
+
+// Disaggregated serving: KV-transfer byte conservation and decode-pool
+// KV-capacity safety under handoff admission.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Bytes shipped per request equal prompt_tokens × kv_bytes_per_token
+    /// exactly, for every pairing policy — the transfer model never
+    /// invents or loses cache bytes.
+    #[test]
+    fn kv_transfer_byte_accounting_conserves(
+        trace in arb_trace(),
+        pairing_idx in 0usize..PairingPolicyKind::ALL.len(),
+    ) {
+        let per_token = ModelSpec::gpt2().kv_bytes_per_token();
+        let expected_total: u64 =
+            trace.iter().map(|r| r.input_len as u64 * per_token).sum();
+        let config = DisaggConfig::new(2, 2)
+            .pairing(PairingPolicyKind::ALL[pairing_idx])
+            .routing(RoutingPolicyKind::RoundRobin);
+        let report = disagg(gpt2_replica(), gpt2_replica(), config, trace.clone()).run();
+        prop_assert_eq!(report.total_completions(), trace.len());
+        prop_assert_eq!(report.total_kv_bytes(), expected_total);
+        prop_assert_eq!(report.handoffs().count(), trace.len());
+        for (c, t) in report.handoffs() {
+            let original = trace.iter().find(|r| r.id == c.id).unwrap();
+            prop_assert_eq!(t.bytes, original.input_len as u64 * per_token);
+            prop_assert_eq!(c.input_len, original.input_len);
+        }
+    }
+
+    /// A decode-pool KV cache never exceeds its capacity, even when the
+    /// pool is memory-starved and handoff admissions contend with cache
+    /// growth — checked after every virtual-time event.
+    #[test]
+    fn decode_pool_kv_never_exceeds_capacity(trace in arb_trace(), seed in 0u64..32) {
+        // Starve the decode pool: barely more memory than weights +
+        // reserve, so admissions and decode growth fight over pages.
+        let decode_cfg = {
+            let mut cfg = gpt2_replica();
+            cfg.npu_mem_gib = Some(1.45);
+            cfg
+        };
+        let config = DisaggConfig::new(1, 2).seed(seed);
+        let mut sim = disagg(gpt2_replica(), decode_cfg, config, trace.clone());
+        while sim.step() {
+            for replica in decode_pool(&sim) {
+                let kv = replica.scheduler().kv();
+                prop_assert!(
+                    kv.used_pages() <= kv.config().total_pages(),
+                    "decode KV overcommitted: {} of {} pages",
+                    kv.used_pages(),
+                    kv.config().total_pages(),
+                );
+            }
+        }
+        let completed: usize =
+            decode_pool(&sim).map(|r| r.scheduler().completions().len()).sum();
+        prop_assert_eq!(completed, trace.len(), "starved decode pool lost requests");
     }
 }

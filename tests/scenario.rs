@@ -4,9 +4,10 @@
 
 use proptest::prelude::*;
 
-use llmservingsim::cluster::{ClusterConfig, ClusterSimulator, RoutingPolicyKind};
-use llmservingsim::core::{KvBucket, ReportOutput, ServingSimulator, SimConfig, Simulate};
-use llmservingsim::disagg::{DisaggConfig, DisaggSimulator, PairingPolicyKind};
+use llmservingsim::core::{
+    DisaggConfig, Fabric, FleetEngine, KvBucket, PairingPolicyKind, ReportOutput,
+    RoutingPolicyKind, ServingSimulator, SimConfig, Simulate,
+};
 use llmservingsim::model::ModelSpec;
 use llmservingsim::scenario::{Scenario, ScenarioError, Sweep};
 use llmservingsim::sched::{Dataset, TraceGenerator, WorkloadSpec};
@@ -59,9 +60,11 @@ fn scenario_matches_legacy_cluster_run_bit_identically() {
     let via_scenario = scenario.run().unwrap();
 
     let cfg = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
-    let cluster = ClusterConfig::new(3).routing(RoutingPolicyKind::PowerOfTwoChoices).seed(7);
     let trace = TraceGenerator::new(Dataset::Alpaca, 7).rate_per_s(100.0).generate(24);
-    let legacy = ClusterSimulator::new(cfg, cluster, trace).unwrap().run();
+    let legacy =
+        FleetEngine::cluster(vec![cfg; 3], RoutingPolicyKind::PowerOfTwoChoices, 7, trace)
+            .unwrap()
+            .run();
 
     assert_eq!(deterministic_artifacts(&via_scenario), deterministic_artifacts(&legacy));
 }
@@ -85,7 +88,8 @@ fn scenario_matches_legacy_disagg_run_bit_identically() {
         .pairing(PairingPolicyKind::Sticky)
         .seed(9);
     let trace = TraceGenerator::new(Dataset::Alpaca, 9).rate_per_s(200.0).generate(16);
-    let legacy = DisaggSimulator::new(cfg.clone(), cfg, disagg, trace).unwrap().run();
+    let fabric = Fabric::fifo(vec![disagg.kv_link]);
+    let legacy = FleetEngine::disagg(cfg.clone(), cfg, disagg, fabric, trace).unwrap().run();
 
     assert_eq!(deterministic_artifacts(&via_scenario), deterministic_artifacts(&legacy));
 }
