@@ -1,10 +1,10 @@
-//! The fleet engine: one virtual-time event loop for every multi-replica
-//! serving shape.
+//! The fleet engine: one virtual-time event loop for every serving
+//! shape, a single replica included.
 //!
 //! A [`FleetEngine`] owns a vector of replica slots (each a
 //! [`ServingSimulator`] plus a [`ReplicaRole`] and its own
-//! [`SimConfig`]), a set of inter-replica KV-transfer [`LinkSpec`]s, and
-//! a [`ControlPlane`]. It advances whichever event is earliest in
+//! [`SimConfig`]), the [`Fabric`] its inter-replica KV transfers cross,
+//! and a [`ControlPlane`]. It advances whichever event is earliest in
 //! virtual time:
 //!
 //! * **request arrival** — the control plane inspects load snapshots of
@@ -22,22 +22,21 @@
 //!   control plane sees a [`FleetStats`] view and may flex roles or
 //!   scale the fleet ([`FleetCommand`]), always under drain semantics.
 //!
-//! A classic cluster ([`FleetEngine::cluster`]) and a disaggregated
-//! deployment ([`FleetEngine::disagg`]) are constructors of this
-//! engine (a router is an admission-side control-plane decision;
+//! A single replica or a classic cluster ([`FleetEngine::cluster`]) and
+//! a disaggregated deployment ([`FleetEngine::disagg`]) are constructors
+//! of this engine (a router is an admission-side control-plane decision;
 //! disaggregation is role-filtered admission plus KV-transfer links);
 //! flexing and autoscaling are just different control planes.
 
 // llmss-lint: allow(p001, file, reason = "fleet-engine invariants are asserted, not propagated: a violated invariant is a simulator bug that must halt the run")
 use std::collections::{BTreeMap, VecDeque};
 
-use llmss_net::LinkSpec;
 use llmss_sched::{Request, TimePs};
 
 use crate::chaos::{ChaosSchedule, FaultEvent, ReplicaFaultKind, ResilienceStats, RetryPolicy};
 use crate::fabric::{Fabric, FabricCommit, FabricStats};
 use crate::telemetry::{SimEvent, Telemetry};
-use crate::{ConfigError, ServingSimulator, SimConfig, Simulate};
+use crate::{ConfigError, ServingSimulator, SimConfig};
 
 use super::control::{ControlPlane, FleetCommand, FleetStats, ReplicaStatus, StaticControl};
 use super::heap::ReadyHeap;
@@ -271,8 +270,10 @@ pub struct FleetEngine {
 
 impl FleetEngine {
     /// Builds a fleet from per-replica configurations (roles derive from
-    /// each configuration's scheduler mode), KV-transfer links, a control
-    /// plane, and a global request trace.
+    /// each configuration's scheduler mode), the [`Fabric`] its KV
+    /// transfers cross (`Fabric::fifo(links)` for dedicated FIFO links,
+    /// `Fabric::fifo(Vec::new())` for a linkless fleet), a control plane,
+    /// and a global request trace.
     ///
     /// The trace is *not* pre-partitioned: requests are injected online,
     /// at their arrival times, into the replica the control plane admits
@@ -286,32 +287,10 @@ impl FleetEngine {
     /// # Panics
     ///
     /// Panics if `configs` is empty; if a prefill-role replica exists
-    /// without any link to ship its KV caches over; or if replicas serve
+    /// without any link to ship its KV caches over; if replicas serve
     /// different models while links exist (the KV bytes-per-token of the
-    /// shipped caches must agree).
-    pub fn new(
-        configs: Vec<SimConfig>,
-        links: Vec<LinkSpec>,
-        control: Box<dyn ControlPlane>,
-        trace: Vec<Request>,
-    ) -> Result<Self, ConfigError> {
-        Self::with_fabric(configs, Fabric::fifo(links), control, trace)
-    }
-
-    /// Builds a fleet whose KV transfers cross an explicit [`Fabric`]
-    /// (topology + sharing discipline) instead of the default FIFO
-    /// links. [`new`](Self::new) is exactly
-    /// `with_fabric(configs, Fabric::fifo(links), ...)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when any replica configuration cannot be
-    /// realized.
-    ///
-    /// # Panics
-    ///
-    /// As [`new`](Self::new); additionally panics when a routed fabric
-    /// covers fewer endpoints than the fleet has replicas.
+    /// shipped caches must agree); or if a routed fabric covers fewer
+    /// endpoints than the fleet has replicas.
     pub fn with_fabric(
         configs: Vec<SimConfig>,
         fabric: Fabric,
@@ -396,13 +375,17 @@ impl FleetEngine {
     /// fresh arrivals; decode-role replicas take no fresh work and idle
     /// here, since only [`disagg`](Self::disagg) feeds them KV handoffs.
     ///
+    /// Exactly one configuration builds the [`FleetShape::Single`] shape:
+    /// the report then writes that replica's own artifacts, byte-identical
+    /// to a standalone [`ServingSimulator`] over the same trace.
+    ///
     /// # Examples
     ///
     /// Serve a ShareGPT-like trace on a 4-replica cluster with
     /// power-of-two-choices routing:
     ///
     /// ```
-    /// use llmss_core::{FleetEngine, ReportOutput, RoutingPolicyKind, SimConfig};
+    /// use llmss_core::{FleetEngine, RoutingPolicyKind, SimConfig};
     /// use llmss_model::ModelSpec;
     /// use llmss_sched::{Dataset, TraceGenerator};
     ///
@@ -450,8 +433,10 @@ impl FleetEngine {
         // deterministic policy satisfies StaticControl's signature.
         let control =
             StaticControl::new(routing.build(seed), RoutingPolicyKind::LeastKvLoad.build(seed));
-        let mut engine = Self::new(configs, Vec::new(), Box::new(control), trace)?;
-        engine.shape = FleetShape::Cluster;
+        let shape = if configs.len() == 1 { FleetShape::Single } else { FleetShape::Cluster };
+        let mut engine =
+            Self::with_fabric(configs, Fabric::fifo(Vec::new()), Box::new(control), trace)?;
+        engine.shape = shape;
         Ok(engine)
     }
 
@@ -469,7 +454,7 @@ impl FleetEngine {
     /// # Examples
     ///
     /// ```
-    /// use llmss_core::{DisaggConfig, Fabric, FleetEngine, ReportOutput, SimConfig};
+    /// use llmss_core::{DisaggConfig, Fabric, FleetEngine, SimConfig};
     /// use llmss_model::ModelSpec;
     /// use llmss_sched::{bursty_trace, BurstyTraceSpec};
     ///
@@ -1916,32 +1901,4 @@ pub(crate) struct FleetParts {
     /// Fault-injection outcome, when a chaos schedule was armed (`None`
     /// keeps chaos-free reports byte-identical to the pre-chaos engine).
     pub resilience: Option<ResilienceStats>,
-}
-
-impl Simulate for FleetEngine {
-    type Report = FleetReport;
-
-    fn push_request(&mut self, request: Request) {
-        FleetEngine::push_request(self, request);
-    }
-
-    fn next_ready_ps(&self) -> Option<TimePs> {
-        FleetEngine::next_ready_ps(self)
-    }
-
-    fn clock_ps(&self) -> TimePs {
-        FleetEngine::clock_ps(self)
-    }
-
-    fn completed_requests(&self) -> usize {
-        FleetEngine::completed_requests(self)
-    }
-
-    fn step(&mut self) -> bool {
-        FleetEngine::step(self)
-    }
-
-    fn finalize(self) -> FleetReport {
-        self.into_report()
-    }
 }

@@ -1,4 +1,4 @@
-//! One fleet engine for every multi-replica serving shape.
+//! One fleet engine for every serving shape, a single replica included.
 //!
 //! The repo used to run three near-duplicate virtual-time event loops —
 //! the single-replica step loop, the cluster's router interleave, and
@@ -32,7 +32,8 @@
 //! * [`RoutingPolicy`] / [`ReplicaSnapshot`] / [`ReplicaRole`] — the
 //!   router vocabulary.
 //! * [`FleetShape`] — which constructor built the fleet:
-//!   [`FleetEngine::cluster`], [`FleetEngine::disagg`] (configured by
+//!   [`FleetEngine::cluster`] over one configuration (the single shape)
+//!   or several, [`FleetEngine::disagg`] (configured by
 //!   [`DisaggConfig`] and [`PairingPolicyKind`]), or any other.
 //! * [`FleetReport`] — the one report for every shape; the shape only
 //!   picks the artifact set it writes.

@@ -1,10 +1,12 @@
-//! The fleet report — one report for every multi-replica shape:
+//! The fleet report — one report for every serving shape:
 //! per-replica outcomes, end-to-end completions (KV handoffs joined back
 //! to their original arrivals), committed transfers, and fleet-wide SLO
 //! metrics.
 //!
 //! The report's [`FleetShape`] only picks the artifact set it writes:
-//! `-cluster.tsv` for [`FleetEngine::cluster`], `-disagg.tsv` plus
+//! the replica's own `-throughput.tsv`/`-simulation-time.tsv`/
+//! `-summary.json` for a one-replica [`FleetEngine::cluster`],
+//! `-cluster.tsv` for a larger one, `-disagg.tsv` plus
 //! `-disagg-metrics.tsv` for [`FleetEngine::disagg`], `-fleet.tsv`
 //! otherwise. The shape views (per-pool rows, the TTFT split at the KV
 //! handoff) are derived from [`FleetReplica`] and the transfer records
@@ -19,8 +21,7 @@ use llmss_sched::{Completion, TimePs};
 use crate::chaos::ResilienceStats;
 use crate::fabric::FabricStats;
 use crate::{
-    percentile, percentiles_from_ps, PercentileSummary, ReportOutput, ReuseStats, SimReport,
-    SloSummary,
+    percentile, percentiles_from_ps, PercentileSummary, ReuseStats, SimReport, SloSummary,
 };
 
 use super::engine::{FleetParts, FleetTransfer};
@@ -389,15 +390,19 @@ impl FleetReport {
         sum / n as f64
     }
 
-    /// One-paragraph human summary.
+    /// One-paragraph human summary (what the CLI prints); a single
+    /// replica prints its own [`SimReport::summary`].
     pub fn summary(&self) -> String {
+        if self.shape == FleetShape::Single {
+            return self.replicas[0].report.summary();
+        }
         let slo = self.slo();
         let ttft = PercentileSummary::display_or_na(slo.ttft);
         let tpot = PercentileSummary::display_or_na(slo.tpot);
         let latency = PercentileSummary::display_or_na(slo.latency);
         let reuse = self.aggregate_reuse();
         let mut out = match self.shape {
-            FleetShape::Cluster => format!(
+            FleetShape::Single | FleetShape::Cluster => format!(
                 "cluster policy={} replicas={} requests={} makespan={:.2}s \
                  gen_tput={:.1} tok/s ttft[{ttft}] tpot[{tpot}] latency[{latency}] \
                  imbalance={:.2} util_cv={:.3}",
@@ -482,11 +487,16 @@ impl FleetReport {
     /// split at the KV handoff.
     ///
     /// Virtual-time results only, so the artifact is byte-identical
-    /// across runs of the same seed.
+    /// across runs of the same seed. A single replica writes its own
+    /// [`SimReport::summary_json`].
     pub fn summary_json(&self) -> String {
         use serde::Value;
 
         use crate::json::obj;
+
+        if self.shape == FleetShape::Single {
+            return self.replicas[0].report.summary_json();
+        }
 
         let replicas: Vec<Value> = self
             .replicas
@@ -655,10 +665,11 @@ impl FleetReport {
     /// The shape's per-replica TSV — the CLI's `{output}-cluster.tsv`,
     /// `{output}-disagg.tsv` or `{output}-fleet.tsv` — followed by the
     /// fabric section for fair-sharing runs and the resilience section
-    /// for chaos runs.
+    /// for chaos runs. A single replica renders as a one-row cluster
+    /// (this TSV is not among its artifacts).
     pub fn to_tsv(&self) -> String {
         let mut out = match self.shape {
-            FleetShape::Cluster => self.cluster_rows(),
+            FleetShape::Single | FleetShape::Cluster => self.cluster_rows(),
             FleetShape::Disagg(_) => self.pool_rows(),
             FleetShape::Fleet => self.fleet_rows(),
         };
@@ -853,15 +864,15 @@ impl FleetReport {
         }
         out
     }
-}
 
-impl ReportOutput for FleetReport {
-    fn summary(&self) -> String {
-        FleetReport::summary(self)
-    }
-
-    fn artifacts(&self) -> Vec<(&'static str, String)> {
+    /// `(file-name suffix, content)` pairs the CLI writes under its
+    /// output prefix. The shape picks the set: a single replica writes
+    /// its own [`SimReport::artifacts`]; every other shape writes its
+    /// per-replica TSV, the disaggregated metrics TSV when disaggregated,
+    /// and `-summary.json`.
+    pub fn artifacts(&self) -> Vec<(&'static str, String)> {
         let tsv = match self.shape {
+            FleetShape::Single => return self.replicas[0].report.artifacts(),
             FleetShape::Cluster => "-cluster.tsv",
             FleetShape::Disagg(_) => "-disagg.tsv",
             FleetShape::Fleet => "-fleet.tsv",
@@ -872,5 +883,26 @@ impl ReportOutput for FleetReport {
         }
         artifacts.push(("-summary.json", self.summary_json()));
         artifacts
+    }
+
+    /// Writes every artifact under `prefix` (creating parent directories)
+    /// and returns the paths written.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first filesystem error.
+    pub fn write_artifacts(&self, prefix: &str) -> std::io::Result<Vec<String>> {
+        if let Some(dir) = std::path::Path::new(prefix).parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)?;
+            }
+        }
+        let mut paths = Vec::new();
+        for (suffix, content) in self.artifacts() {
+            let path = format!("{prefix}{suffix}");
+            std::fs::write(&path, content)?;
+            paths.push(path);
+        }
+        Ok(paths)
     }
 }

@@ -7,13 +7,18 @@ use llmss_net::LinkSpec;
 
 use super::route::{RoutingPolicy, RoutingPolicyKind};
 
-/// Which engine constructor built a fleet. Not a user option: it only
-/// picks the artifact set the [`FleetReport`](super::FleetReport)
-/// writes.
+/// Which engine constructor built a fleet (and, for a cluster, whether
+/// it got exactly one configuration). Not a user option: it only picks
+/// the artifact set the [`FleetReport`](super::FleetReport) writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetShape {
-    /// [`FleetEngine::cluster`](super::FleetEngine::cluster): replicas
-    /// behind a router (`-cluster.tsv`).
+    /// [`FleetEngine::cluster`](super::FleetEngine::cluster) over exactly
+    /// one configuration: one unified replica behind a trivial front end.
+    /// The report writes the replica's own artifacts
+    /// (`-throughput.tsv`, `-simulation-time.tsv`, `-summary.json`).
+    Single,
+    /// [`FleetEngine::cluster`](super::FleetEngine::cluster) over two or
+    /// more configurations: replicas behind a router (`-cluster.tsv`).
     Cluster,
     /// [`FleetEngine::disagg`](super::FleetEngine::disagg): a prefill
     /// pool and a decode pool joined by a KV fabric, with the pairing
@@ -26,9 +31,10 @@ pub enum FleetShape {
 }
 
 impl FleetShape {
-    /// The shape's short name (`cluster` | `disagg` | `fleet`).
+    /// The shape's short name (`single` | `cluster` | `disagg` | `fleet`).
     pub fn as_str(self) -> &'static str {
         match self {
+            FleetShape::Single => "single",
             FleetShape::Cluster => "cluster",
             FleetShape::Disagg(_) => "disagg",
             FleetShape::Fleet => "fleet",

@@ -47,7 +47,6 @@ mod mapping;
 mod report;
 mod reuse;
 mod sim;
-mod simulate;
 mod stack;
 pub mod telemetry;
 
@@ -73,15 +72,14 @@ pub use fleet::{
 };
 pub use mapping::{map_op, DeviceKind, PimMode};
 pub use report::{
-    percentile, percentiles_from_ps, IterationRecord, PercentileSummary, ReportOutput,
-    SimReport, SloSummary, ThroughputBin, WallBreakdown,
+    percentile, percentiles_from_ps, IterationRecord, PercentileSummary, SimReport, SloSummary,
+    ThroughputBin, WallBreakdown,
 };
 pub use reuse::{
     BucketAdaptivity, IterationCache, IterationLookup, IterationOutcome, ReuseCache,
     ReuseStats, SharedReuse,
 };
 pub use sim::ServingSimulator;
-pub use simulate::Simulate;
 pub use stack::EngineStack;
 pub use telemetry::{
     chrome_trace, filter_events, timeline_tsv, validate_chrome_trace, MemorySink, SimEvent,

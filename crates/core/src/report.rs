@@ -214,58 +214,6 @@ impl SloSummary {
     }
 }
 
-/// A finished simulation's output surface: the one-paragraph summary and
-/// the named TSV artifacts the CLI writes.
-///
-/// Implemented by `SimReport` and `FleetReport` (every multi-replica
-/// shape), and delegated through the scenario layer's `AnyReport`, so the
-/// binary (and any other driver) writes results identically for every
-/// serving shape.
-pub trait ReportOutput {
-    /// One-paragraph human summary (what the CLI prints).
-    fn summary(&self) -> String;
-
-    /// `(file-name suffix, TSV content)` pairs, e.g.
-    /// `("-throughput.tsv", ...)`. Suffixes are appended to the run's
-    /// output prefix.
-    fn artifacts(&self) -> Vec<(&'static str, String)>;
-
-    /// Writes every artifact under `prefix` (creating parent directories)
-    /// and returns the paths written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first filesystem error.
-    fn write_artifacts(&self, prefix: &str) -> std::io::Result<Vec<String>> {
-        if let Some(dir) = std::path::Path::new(prefix).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut paths = Vec::new();
-        for (suffix, content) in self.artifacts() {
-            let path = format!("{prefix}{suffix}");
-            std::fs::write(&path, content)?;
-            paths.push(path);
-        }
-        Ok(paths)
-    }
-}
-
-impl ReportOutput for SimReport {
-    fn summary(&self) -> String {
-        SimReport::summary(self)
-    }
-
-    fn artifacts(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("-throughput.tsv", self.throughput_tsv(1.0)),
-            ("-simulation-time.tsv", self.wall.to_tsv()),
-            ("-summary.json", self.summary_json()),
-        ]
-    }
-}
-
 /// Nearest-rank percentile over an unsorted sample (`p` in `[0, 1]`);
 /// zero for an empty sample. The index rule matches
 /// [`SimReport::latency_percentile_s`] so single-run and cluster metrics
@@ -454,6 +402,17 @@ impl SimReport {
             ("reuse", self.reuse.json_value()),
         ]);
         crate::json::pretty(&v) + "\n"
+    }
+
+    /// `(file-name suffix, content)` pairs the CLI writes under its
+    /// output prefix: the throughput series, the host wall-clock
+    /// breakdown, and the JSON summary.
+    pub fn artifacts(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("-throughput.tsv", self.throughput_tsv(1.0)),
+            ("-simulation-time.tsv", self.wall.to_tsv()),
+            ("-summary.json", self.summary_json()),
+        ]
     }
 
     /// One-paragraph human summary (the artifact's standard output).

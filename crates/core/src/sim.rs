@@ -29,7 +29,7 @@ use crate::telemetry::{SimEvent, Telemetry};
 use crate::{
     BucketAdaptivity, ConfigError, EngineStack, GraphConverter, IterationCache,
     IterationLookup, IterationOutcome, IterationRecord, KvBucket, SimConfig, SimReport,
-    Simulate, WallBreakdown,
+    WallBreakdown,
 };
 
 /// An end-to-end LLM serving simulation.
@@ -353,6 +353,26 @@ impl ServingSimulator {
     /// scheduler and joins batch formation once the replica's clock
     /// reaches its arrival time (immediately, if the clock is already
     /// past it).
+    ///
+    /// # Examples
+    ///
+    /// Start empty and feed the trace online:
+    ///
+    /// ```
+    /// use llmss_core::{ServingSimulator, SimConfig};
+    /// use llmss_model::ModelSpec;
+    /// use llmss_sched::{Dataset, TraceGenerator};
+    ///
+    /// let config = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
+    /// let trace = TraceGenerator::new(Dataset::Alpaca, 7).rate_per_s(50.0).generate(4);
+    /// let mut sim = ServingSimulator::new(config, Vec::new())?;
+    /// for request in trace {
+    ///     sim.push_request(request);
+    /// }
+    /// let report = sim.run();
+    /// assert_eq!(report.completions.len(), 4);
+    /// # Ok::<(), llmss_core::ConfigError>(())
+    /// ```
     pub fn push_request(&mut self, request: Request) {
         self.scheduler.push_request(request);
     }
@@ -463,34 +483,6 @@ impl ServingSimulator {
             wall: self.wall,
             reuse,
         }
-    }
-}
-
-impl Simulate for ServingSimulator {
-    type Report = SimReport;
-
-    fn push_request(&mut self, request: Request) {
-        ServingSimulator::push_request(self, request);
-    }
-
-    fn next_ready_ps(&self) -> Option<TimePs> {
-        ServingSimulator::next_ready_ps(self)
-    }
-
-    fn clock_ps(&self) -> TimePs {
-        ServingSimulator::clock_ps(self)
-    }
-
-    fn completed_requests(&self) -> usize {
-        self.scheduler.completions().len()
-    }
-
-    fn step(&mut self) -> bool {
-        ServingSimulator::step(self)
-    }
-
-    fn finalize(self) -> SimReport {
-        self.into_report()
     }
 }
 

@@ -7,22 +7,25 @@
 //! | column | meaning |
 //! |---|---|
 //! | `window_s` | window start, seconds of simulated time |
-//! | `arrivals` | requests arriving in the window |
-//! | `admitted` | requests admitted onto a replica |
+//! | `arrivals` | requests arriving at the front end (`Arrival` events) |
+//! | `admitted` | requests admitted onto a replica (`Admitted` events) |
 //! | `completed` | requests finishing end to end |
 //! | `queue_depth` | mean post-batch queue depth over iterations |
 //! | `batch_mean` | mean batch size over iterations |
 //! | `kv_util` | mean KV-page occupancy over iterations |
 //! | `memo_hit_rate` | iteration-memo hit rate (`-` with no iterations) |
 //! | `tok_per_s` | generated tokens per simulated second |
-//! | `live_replicas` | replicas in service at the window's end |
+//! | `live_replicas` | replicas activated and not retired by the window's end |
 //! | `ttft_attain` | fraction of the window's completions meeting the TTFT SLO (`-` with none) |
 //! | `tpot_attain` | same for TPOT (single-token requests excluded) |
 //! | `util:r{i}` | fraction of the window replica `i` spent executing |
 //! | `link:{name}` | fraction of link `{name}`'s capacity carried |
 //!
-//! Like the Chrome exporter this is a pure function of the event list:
-//! same seed, same bytes.
+//! Arrivals, admissions and the live-replica series come from the fleet
+//! front end's `Arrival`, `Admitted` and `ReplicaActivated` events, which
+//! every [`FleetEngine`](crate::FleetEngine) with telemetry attached
+//! emits — a single replica included. Like the Chrome exporter this is a
+//! pure function of the event list: same seed, same bytes.
 
 use llmss_model::FnvHashMap;
 use llmss_sched::TimePs;
@@ -70,7 +73,11 @@ struct Window {
     link_bytes: Vec<f64>,
 }
 
-/// Renders the windowed time-series TSV.
+/// Renders the windowed time-series TSV (columns in the module docs).
+/// Arrivals and admissions are counted from the front end's `Arrival`
+/// and `Admitted` events; a stream without them (a bare
+/// [`ServingSimulator`](crate::ServingSimulator)) leaves both columns at
+/// zero.
 ///
 /// # Panics
 ///
@@ -87,9 +94,6 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
     let mut links: Vec<(String, f64)> = Vec::new();
     let mut arrival_of: FnvHashMap<u64, TimePs> = FnvHashMap::default();
     let mut queued_of: FnvHashMap<u64, (usize, TimePs)> = FnvHashMap::default();
-    let mut any_arrival = false;
-    let mut any_admitted = false;
-    let mut any_activation = false;
     for e in events {
         end_ps = end_ps.max(match *e {
             SimEvent::Iteration { end_ps, .. } => end_ps,
@@ -98,11 +102,8 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
         });
         match e {
             SimEvent::Arrival { id, t_ps, .. } => {
-                any_arrival = true;
                 arrival_of.insert(*id, *t_ps);
             }
-            SimEvent::Admitted { .. } => any_admitted = true,
-            SimEvent::ReplicaActivated { .. } => any_activation = true,
             SimEvent::TransferQueued { id, from, t_ps } => {
                 queued_of.insert(*id, (*from, *t_ps));
             }
@@ -113,12 +114,6 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
                 if !links.iter().any(|(n, _)| n == link) =>
             {
                 links.push((link.clone(), *bw_gbps));
-            }
-            SimEvent::Completed { arrival_ps, t_ps, .. } => {
-                // Synthesized horizon/arrival sources for single-replica
-                // runs, which have no fleet front end.
-                end_ps = end_ps.max(*t_ps);
-                let _ = arrival_ps;
             }
             _ => {}
         }
@@ -158,10 +153,6 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
         match e {
             SimEvent::Arrival { t_ps, .. } => windows[at(*t_ps)].arrivals += 1,
             SimEvent::Admitted { t_ps, .. } => windows[at(*t_ps)].admitted += 1,
-            // Admission proxy for single-replica runs (no router).
-            SimEvent::PrefillStart { t_ps, .. } if !any_admitted => {
-                windows[at(*t_ps)].admitted += 1;
-            }
             SimEvent::Completed {
                 t_ps,
                 id,
@@ -180,9 +171,6 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
                 // End-to-end TTFT needs the original arrival; a decode
                 // replica's scheduler-local arrival is the KV delivery.
                 let arrival = arrival_of.get(id).copied().unwrap_or(*arrival_ps);
-                if !any_arrival {
-                    windows[at(arrival)].arrivals += 1;
-                }
                 let win = &mut windows[at(*t_ps)];
                 win.completed += 1;
                 let ttft_ms = first_token_ps.saturating_sub(arrival) as f64 / 1e9;
@@ -274,7 +262,7 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
             format!("{:.3}", num as f64 / den as f64)
         }
     };
-    let mut live: i64 = if any_activation { 0 } else { replicas.len() as i64 };
+    let mut live: i64 = 0;
     let window_s = w as f64 / 1e12;
     for (idx, win) in windows.iter().enumerate() {
         live += live_delta[idx];

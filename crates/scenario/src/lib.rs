@@ -14,11 +14,11 @@
 //!   [`build`](Scenario::build) time with a typed [`ScenarioError`], and
 //!   the value round-trips losslessly to TOML and JSON scenario files
 //!   (unknown keys are schema drift and fail loudly).
-//! * [`AnySimulator`] / [`AnyReport`] — one replica or one
-//!   [`FleetEngine`](llmss_core::FleetEngine) behind one value, driven through the
-//!   [`Simulate`](llmss_core::Simulate) trait and written through the
-//!   [`ReportOutput`](llmss_core::ReportOutput) writer, so drivers are
-//!   written once.
+//! * [`Scenario::build`] returns a [`FleetEngine`](llmss_core::FleetEngine)
+//!   for every shape — a single replica is a one-replica fleet — and
+//!   [`Scenario::run`] its [`FleetReport`](llmss_core::FleetReport),
+//!   whose shape tag picks the artifact set, so drivers are written
+//!   once.
 //! * [`Sweep`] — cartesian parameter grids over a base scenario
 //!   (`[sweep]` tables of a sweep file, or the [`Sweep::axis`] builder),
 //!   one consolidated TSV row per point.
@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod any;
 mod chaos;
 mod error;
 mod fabric;
@@ -55,7 +54,6 @@ mod sweep;
 mod telemetry;
 pub mod toml;
 
-pub use any::{AnyReport, AnySimulator};
 pub use chaos::{ChaosSpec, LinkFaultSpec, ReplicaFaultSpec};
 pub use error::ScenarioError;
 pub use fabric::{FabricLink, FabricRoute, FabricSharing, FabricSpec};

@@ -1,11 +1,10 @@
 //! The [`Scenario`] builder: one typed, declarative description of a
 //! serving experiment, validated at build time.
 
-// llmss-lint: allow(p001, file, reason = "emit paths assert invariants established by validate(); serializing a validated scenario is infallible")
 use llmss_core::{
     AutoscaleConfig, AutoscaleControl, ControlPlane, DisaggConfig, Fabric, FleetEngine,
-    FlexPools, FlexPoolsConfig, KvBucket, KvManage, PairingPolicyKind, ParallelismKind,
-    PimMode, ReplicaRole, RoutingPolicyKind, ServingSimulator, SimConfig, StaticControl,
+    FleetReport, FlexPools, FlexPoolsConfig, KvBucket, KvManage, PairingPolicyKind,
+    ParallelismKind, PimMode, ReplicaRole, RoutingPolicyKind, SimConfig, StaticControl,
 };
 use llmss_model::ModelSpec;
 use llmss_net::LinkSpec;
@@ -13,8 +12,7 @@ use llmss_sched::{Request, SchedulingPolicy, TimePs, Workload, WorkloadSpec};
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::{
-    toml, AnyReport, AnySimulator, ChaosSpec, FabricSpec, FleetControlKind, FleetSpec,
-    ScenarioError, TelemetrySpec,
+    toml, ChaosSpec, FabricSpec, FleetControlKind, FleetSpec, ScenarioError, TelemetrySpec,
 };
 
 /// The serving shape a scenario describes, derived from its
@@ -684,10 +682,8 @@ impl Scenario {
     fn fabric_checks(&self, fabric: &FabricSpec) -> Result<(), ScenarioError> {
         fabric.validate()?;
         let conflict = |message: String| Err(ScenarioError::Conflict { message });
-        let endpoints = match self.shape() {
-            ServingShape::Disagg { prefill, decode } => prefill + decode,
-            ServingShape::Fleet { replicas, control } => {
-                let fleet = self.fleet.as_ref().expect("the fleet shape has a spec");
+        let endpoints = match (&self.fleet, self.disagg) {
+            (Some(fleet), _) => {
                 if !fleet.has_prefill() {
                     return conflict(
                         "a [fabric] table needs KV transfers to carry: declare \
@@ -695,19 +691,22 @@ impl Scenario {
                             .into(),
                     );
                 }
-                if control != FleetControlKind::Static {
+                if fleet.control != FleetControlKind::Static {
                     return conflict(format!(
-                        "control = \"{control}\" resizes or re-roles the fleet; the \
-                         fabric's endpoint graph is fixed (use control = \"static\")"
+                        "control = \"{}\" resizes or re-roles the fleet; the \
+                         fabric's endpoint graph is fixed (use control = \"static\")",
+                        fleet.control
                     ));
                 }
-                replicas
+                fleet.size(self.replicas)
             }
-            shape => {
+            (None, Some((prefill, decode))) => prefill + decode,
+            (None, None) => {
                 return conflict(format!(
-                    "a [fabric] table needs KV transfers to carry, but the {shape} \
+                    "a [fabric] table needs KV transfers to carry, but the {} \
                      shape has none: use disagg = \"PxD\" or prefill/decode roles \
-                     in [fleet]"
+                     in [fleet]",
+                    self.shape()
                 ));
             }
         };
@@ -784,27 +783,21 @@ impl Scenario {
         Ok(trace)
     }
 
-    /// Validates the scenario and builds the simulator for its shape.
+    /// Validates the scenario and builds the fleet engine for its shape:
+    /// one replica (the single shape), a routed cluster, a disaggregated
+    /// deployment, or a `[fleet]` under its control plane.
     ///
     /// # Errors
     ///
     /// Returns a typed [`ScenarioError`] on any invalid field, conflict,
     /// unrealizable hardware configuration, or workload failure.
-    pub fn build(&self) -> Result<AnySimulator, ScenarioError> {
+    pub fn build(&self) -> Result<FleetEngine, ScenarioError> {
         self.field_checks()?;
         let cfg = self.validated_config()?;
         let trace = self.trace()?;
-        Ok(match self.shape() {
-            ServingShape::Single => {
-                AnySimulator::Single(Box::new(ServingSimulator::new(cfg, trace)?))
-            }
-            ServingShape::Cluster { replicas } => AnySimulator::Fleet(FleetEngine::cluster(
-                vec![cfg; replicas],
-                self.routing,
-                self.seed,
-                trace,
-            )?),
-            ServingShape::Disagg { prefill, decode } => {
+        Ok(match (&self.fleet, self.disagg) {
+            (Some(fleet), _) => self.build_fleet(fleet, trace)?,
+            (None, Some((prefill, decode))) => {
                 let disagg = DisaggConfig::new(prefill, decode)
                     .kv_link_gbps(self.kv_link_gbps)
                     .routing(self.routing)
@@ -816,17 +809,12 @@ impl Scenario {
                     None => Fabric::fifo(vec![disagg.kv_link]),
                     Some(fabric) => fabric.build(prefill + decode, self.kv_link_gbps)?,
                 };
-                AnySimulator::Fleet(FleetEngine::disagg(
-                    cfg.clone(),
-                    cfg,
-                    disagg,
-                    fabric,
-                    trace,
-                )?)
+                FleetEngine::disagg(cfg.clone(), cfg, disagg, fabric, trace)?
             }
-            ServingShape::Fleet { replicas, .. } => {
-                let fleet = self.fleet.as_ref().expect("the fleet shape has a spec");
-                AnySimulator::Fleet(self.build_fleet(fleet, replicas, trace)?)
+            // `replicas` (validated >= 1) copies behind the router; exactly
+            // one is the single shape.
+            (None, None) => {
+                FleetEngine::cluster(vec![cfg; self.replicas], self.routing, self.seed, trace)?
             }
         })
     }
@@ -838,10 +826,10 @@ impl Scenario {
     fn build_fleet(
         &self,
         fleet: &FleetSpec,
-        replicas: usize,
         trace: Vec<Request>,
     ) -> Result<FleetEngine, ScenarioError> {
         let ms_to_ps = |ms: f64| (ms * 1e9).round() as TimePs;
+        let replicas = fleet.size(self.replicas);
         let mut configs = Vec::with_capacity(replicas);
         for i in 0..replicas {
             let mut per_replica = self.clone();
@@ -872,13 +860,13 @@ impl Scenario {
             });
         }
         let fabric = match &self.fabric {
-            Some(spec) => Some(spec.build(replicas, self.kv_link_gbps)?),
-            None => None,
-        };
-        let links = if fleet.has_prefill() {
-            vec![LinkSpec::new(self.kv_link_gbps, LinkSpec::cxl().latency_ns)]
-        } else {
-            Vec::new()
+            Some(spec) => spec.build(replicas, self.kv_link_gbps)?,
+            // No [fabric] table: one FIFO KV link when prefill roles
+            // exist, none otherwise.
+            None if fleet.has_prefill() => {
+                Fabric::fifo(vec![LinkSpec::new(self.kv_link_gbps, LinkSpec::cxl().latency_ns)])
+            }
+            None => Fabric::fifo(Vec::new()),
         };
         let control: Box<dyn ControlPlane> = match fleet.control {
             FleetControlKind::Static => Box::new(StaticControl::new(
@@ -906,14 +894,8 @@ impl Scenario {
                 },
             )),
         };
-        let link_count = match &fabric {
-            Some(fabric) => fabric.link_count(),
-            None => links.len(),
-        };
-        let mut engine = match fabric {
-            Some(fabric) => FleetEngine::with_fabric(configs, fabric, control, trace)?,
-            None => FleetEngine::new(configs, links, control, trace)?,
-        };
+        let link_count = fabric.link_count();
+        let mut engine = FleetEngine::with_fabric(configs, fabric, control, trace)?;
         if let Some(chaos) = self.chaos.as_ref().filter(|c| c.enabled()) {
             // Bounds-check fault targets against the largest fleet this
             // deployment can reach, not just its starting size: an
@@ -938,7 +920,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Propagates [`build`](Self::build) errors.
-    pub fn run(&self) -> Result<AnyReport, ScenarioError> {
+    pub fn run(&self) -> Result<FleetReport, ScenarioError> {
         Ok(self.build()?.run())
     }
 
@@ -1171,11 +1153,13 @@ impl Scenario {
 
     /// Serializes as a TOML scenario file (the canonical on-disk form).
     pub fn to_toml(&self) -> String {
+        // llmss-lint: allow(p001, reason = "every scenario field maps onto a TOML-expressible value")
         toml::emit(&self.to_value()).expect("scenario values are TOML-expressible")
     }
 
     /// Serializes as pretty-printed JSON.
     pub fn to_json(&self) -> String {
+        // llmss-lint: allow(p001, reason = "rendering a scenario value tree to a String cannot fail")
         serde_json::to_string_pretty(self).expect("scenario serialization is infallible")
     }
 
@@ -1488,41 +1472,38 @@ fn kv_bucket_from_value(value: &Value) -> Result<KvBucket, ScenarioError> {
         }),
         Value::Str(s) if s == "adaptive" => Ok(KvBucket::adaptive()),
         Value::Object(fields) => {
-            let KvBucket::Adaptive {
-                mut min_tokens,
-                mut max_tokens,
-                mut target_hit_rate,
-                mut window,
-            } = KvBucket::adaptive()
-            else {
-                unreachable!("adaptive() is Adaptive");
-            };
-            for (key, v) in fields {
-                match key.as_str() {
-                    "min_tokens" => {
-                        min_tokens = usize::from_value(v)
-                            .map_err(|_| bad("min_tokens: a token count"))?
-                    }
-                    "max_tokens" => {
-                        max_tokens = usize::from_value(v)
-                            .map_err(|_| bad("max_tokens: a token count"))?
-                    }
-                    "target_hit_rate" => {
-                        target_hit_rate = f64::from_value(v)
-                            .map_err(|_| bad("target_hit_rate: a rate in (0, 1]"))?
-                    }
-                    "window" => {
-                        window =
-                            u64::from_value(v).map_err(|_| bad("window: an iteration count"))?
-                    }
-                    other => {
-                        return Err(ScenarioError::UnknownKey {
-                            key: format!("kv_bucket.{other}"),
-                        })
+            // Omitted keys keep the `KvBucket::adaptive()` defaults.
+            let mut bucket = KvBucket::adaptive();
+            if let KvBucket::Adaptive { min_tokens, max_tokens, target_hit_rate, window } =
+                &mut bucket
+            {
+                for (key, v) in fields {
+                    match key.as_str() {
+                        "min_tokens" => {
+                            *min_tokens = usize::from_value(v)
+                                .map_err(|_| bad("min_tokens: a token count"))?
+                        }
+                        "max_tokens" => {
+                            *max_tokens = usize::from_value(v)
+                                .map_err(|_| bad("max_tokens: a token count"))?
+                        }
+                        "target_hit_rate" => {
+                            *target_hit_rate = f64::from_value(v)
+                                .map_err(|_| bad("target_hit_rate: a rate in (0, 1]"))?
+                        }
+                        "window" => {
+                            *window = u64::from_value(v)
+                                .map_err(|_| bad("window: an iteration count"))?
+                        }
+                        other => {
+                            return Err(ScenarioError::UnknownKey {
+                                key: format!("kv_bucket.{other}"),
+                            })
+                        }
                     }
                 }
             }
-            Ok(KvBucket::Adaptive { min_tokens, max_tokens, target_hit_rate, window })
+            Ok(bucket)
         }
         _ => Err(bad("a token count, \"adaptive\", or an adaptive table")),
     }

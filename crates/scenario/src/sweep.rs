@@ -36,10 +36,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use llmss_core::PercentileSummary;
+use llmss_core::{FleetReport, PercentileSummary};
 use serde::Value;
 
-use crate::{toml, AnyReport, Scenario, ScenarioError};
+use crate::{toml, Scenario, ScenarioError};
 
 /// One sweep dimension: a scenario key and the values it takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -399,12 +399,12 @@ impl SweepRow {
         }
     }
 
-    fn collect(settings: Vec<(String, String)>, report: &AnyReport) -> Self {
+    fn collect(settings: Vec<(String, String)>, report: &FleetReport) -> Self {
         let slo = report.slo();
-        let reuse = report.reuse();
+        let reuse = report.aggregate_reuse();
         Self {
             settings,
-            shape: report.shape(),
+            shape: report.shape.as_str(),
             completions: report.total_completions(),
             makespan_s: report.makespan_s(),
             gen_tput: report.generation_throughput(),

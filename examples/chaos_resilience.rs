@@ -17,8 +17,9 @@
 //! ```
 
 use llmss_core::{
-    AutoscaleConfig, AutoscaleControl, ChaosSchedule, ControlPlane, FleetEngine, FleetReport,
-    LeastKvLoad, LeastOutstanding, ReplicaFault, ReplicaFaultKind, SimConfig, StaticControl,
+    AutoscaleConfig, AutoscaleControl, ChaosSchedule, ControlPlane, Fabric, FleetEngine,
+    FleetReport, LeastKvLoad, LeastOutstanding, ReplicaFault, ReplicaFaultKind, SimConfig,
+    StaticControl,
 };
 use llmss_model::ModelSpec;
 use llmss_sched::{bursty_trace, BurstyTraceSpec, Request};
@@ -51,9 +52,9 @@ fn decode_killer() -> ChaosSchedule {
 
 fn fleet(control: Box<dyn ControlPlane>) -> FleetEngine {
     let replica = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
-    let mut engine = FleetEngine::new(
+    let mut engine = FleetEngine::with_fabric(
         vec![replica.clone(), replica],
-        Vec::new(),
+        Fabric::fifo(Vec::new()),
         control,
         peak_load_trace(),
     )

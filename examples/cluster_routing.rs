@@ -43,10 +43,9 @@ fn main() {
             .routing(kind)
             .seed(42)
             .workload(WorkloadSpec::from(spec));
-        let report = scenario.run().expect("gpt2 fits a single Table-I NPU");
-        assert_eq!(report.total_completions(), spec.total_requests());
-        assert_eq!(report.shape(), "cluster", "replicas(4) selects the cluster shape");
-        let cluster = report.as_fleet().expect("a cluster is a fleet");
+        let cluster = scenario.run().expect("gpt2 fits a single Table-I NPU");
+        assert_eq!(cluster.total_completions(), spec.total_requests());
+        assert_eq!(cluster.shape.as_str(), "cluster", "replicas(4) selects the cluster shape");
         let slo = cluster.slo();
         let ttft = slo.ttft.expect("every run completes requests");
         let lat = slo.latency.expect("every run completes requests");

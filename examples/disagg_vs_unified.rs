@@ -46,14 +46,13 @@ fn main() {
     };
 
     // A: unified — two replicas, each serving requests end to end.
-    let unified_report = base()
+    let unified = base()
         .replicas(2)
         .routing(RoutingPolicyKind::LeastOutstanding)
         .run()
         .expect("gpt2 fits a single Table-I NPU");
-    assert_eq!(unified_report.total_completions(), trace.len());
-    assert_eq!(unified_report.shape(), "cluster", "replicas(2) is the cluster shape");
-    let unified = unified_report.as_fleet().expect("a cluster is a fleet");
+    assert_eq!(unified.total_completions(), trace.len());
+    assert_eq!(unified.shape.as_str(), "cluster", "replicas(2) is the cluster shape");
 
     // B: disaggregated — one prefill replica, one decode replica.
     let run_disagg = |gbps: f64| {
@@ -65,9 +64,8 @@ fn main() {
         assert_eq!(report.total_completions(), trace.len());
         report
     };
-    let disagg_report = run_disagg(128.0);
-    assert_eq!(disagg_report.shape(), "disagg", "disagg(1, 1) is the disagg shape");
-    let disagg = disagg_report.as_fleet().expect("a disaggregated deployment is a fleet");
+    let disagg = run_disagg(128.0);
+    assert_eq!(disagg.shape.as_str(), "disagg", "disagg(1, 1) is the disagg shape");
 
     let (u_slo, d_slo) = (unified.slo(), disagg.slo());
     let u_tpot = u_slo.tpot.expect("completions exist");
@@ -105,8 +103,7 @@ fn main() {
     );
 
     // The cost side: starve the KV link and watch the transfer component.
-    let starved_report = run_disagg(1.0);
-    let starved = starved_report.as_fleet().expect("same shape as the fast link");
+    let starved = run_disagg(1.0);
     let fast_split = split;
     let starved_split = starved.ttft_split().expect("completions exist");
     println!(

@@ -15,8 +15,8 @@
 //! ```
 
 use llmss_core::{
-    FleetEngine, FleetReport, FlexPools, FlexPoolsConfig, LeastKvLoad, LeastOutstanding,
-    ReplicaRole, SimConfig, StaticControl,
+    Fabric, FleetEngine, FleetReport, FlexPools, FlexPoolsConfig, LeastKvLoad,
+    LeastOutstanding, ReplicaRole, SimConfig, StaticControl,
 };
 use llmss_model::ModelSpec;
 use llmss_net::LinkSpec;
@@ -69,7 +69,7 @@ fn fleet(control_is_flex: bool) -> FleetEngine {
     } else {
         Box::new(StaticControl::new(Box::new(LeastOutstanding), Box::new(LeastKvLoad)))
     };
-    FleetEngine::new(configs, links, control, phase_shifting_trace())
+    FleetEngine::with_fabric(configs, Fabric::fifo(links), control, phase_shifting_trace())
         .expect("gpt2 fits a single Table-I NPU")
 }
 

@@ -13,8 +13,8 @@
 //! | [`pim`] | `llmss-pim` | bank-parallel PIM GEMV engine |
 //! | [`net`] | `llmss-net` | ASTRA-sim-analog DES system simulator |
 //! | [`sched`] | `llmss-sched` | request traces, Orca scheduling, paged KV cache |
-//! | [`core`] | `llmss-core` | engine stack, graph converter, serving simulator, fleet engine (clusters, disaggregated pools, KV fabric) |
-//! | [`scenario`] | `llmss-scenario` | the unified `Scenario` API: declarative experiments, scenario files, sweeps |
+//! | [`core`] | `llmss-core` | engine stack, graph converter, serving simulator, fleet engine (every serving shape: one replica, clusters, disaggregated pools, KV fabric) and its report |
+//! | [`scenario`] | `llmss-scenario` | the unified `Scenario` API: declarative experiments, scenario files, sweeps; every scenario builds a `FleetEngine` |
 //! | [`baselines`] | `llmss-baselines` | mNPUsim/GeneSys/NeuPIMs-like sims + reference systems |
 //!
 //! # Quickstart
@@ -48,9 +48,8 @@ pub mod prelude {
         map_op, DeviceKind, DisaggConfig, EngineStack, ExecutionEngine, Fabric, FleetEngine,
         FleetReport, FleetShape, GraphConverter, KvBucket, KvManage, PairingPolicyKind,
         ParallelismKind, ParallelismSpec, PercentileSummary, PimMode, ReplicaRole,
-        ReplicaSnapshot, ReportOutput, ReuseCache, RoutingPolicy, RoutingPolicyKind,
-        ServingSimulator, SimConfig, SimReport, Simulate, SloSummary, TtftComponents,
-        TtftSplit,
+        ReplicaSnapshot, ReuseCache, RoutingPolicy, RoutingPolicyKind, ServingSimulator,
+        SimConfig, SimReport, SloSummary, TtftComponents, TtftSplit,
     };
     pub use llmss_model::{
         IterationWorkload, ModelSpec, Op, OpDims, OpKind, Phase, Roofline, SeqSlot,
@@ -58,9 +57,7 @@ pub mod prelude {
     pub use llmss_net::{simulate_graph, ExecGraph, ExecPayload, LinkSpec, Topology};
     pub use llmss_npu::{NpuConfig, NpuEngine};
     pub use llmss_pim::{PimConfig, PimEngine};
-    pub use llmss_scenario::{
-        AnyReport, AnySimulator, Scenario, ScenarioError, ServingShape, Sweep,
-    };
+    pub use llmss_scenario::{Scenario, ScenarioError, ServingShape, Sweep};
     pub use llmss_sched::{
         bursty_trace, BurstyTraceSpec, Dataset, KvCache, KvCacheConfig, Request, Scheduler,
         SchedulerConfig, TraceGenerator, Workload, WorkloadSpec,

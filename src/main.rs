@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Every path — scenario files, `--set` overrides, the artifact's legacy
-//! flag set — builds the same [`Scenario`] value and runs through the
-//! same [`Simulate`](llmservingsim::core::Simulate) +
-//! [`ReportOutput`](llmservingsim::core::ReportOutput) surface, so the
+//! flag set — builds the same [`Scenario`] value, runs it as one
+//! [`FleetEngine`](llmservingsim::core::FleetEngine) (a single replica is
+//! a one-replica fleet), and writes its
+//! [`FleetReport`](llmservingsim::core::FleetReport) artifacts, so the
 //! binary owns no config model of its own: a scenario file and the
 //! equivalent flag invocation produce byte-identical reports.
 
@@ -19,7 +20,7 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
 use llmservingsim::core::{
-    chrome_trace, filter_events, timeline_tsv, MemorySink, ReportOutput, SimEvent, Telemetry,
+    chrome_trace, filter_events, timeline_tsv, MemorySink, SimEvent, Telemetry,
 };
 use llmservingsim::scenario::{Scenario, Sweep};
 use llmservingsim::sched::{trace_to_tsv, Workload, WorkloadSpec};

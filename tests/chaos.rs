@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    ChaosSchedule, FleetEngine, LinkFault, ReplicaFault, ReplicaFaultKind, RetryPolicy,
+    ChaosSchedule, Fabric, FleetEngine, LinkFault, ReplicaFault, ReplicaFaultKind, RetryPolicy,
     RoutingPolicyKind, SimConfig, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
@@ -28,9 +28,9 @@ fn gpt2_replica() -> SimConfig {
 }
 
 fn unified_fleet(n: usize, trace: Vec<Request>) -> FleetEngine {
-    FleetEngine::new(
+    FleetEngine::with_fabric(
         vec![gpt2_replica(); n],
-        Vec::new(),
+        Fabric::fifo(Vec::new()),
         Box::new(StaticControl::new(
             RoutingPolicyKind::LeastOutstanding.build(0),
             RoutingPolicyKind::LeastKvLoad.build(0),
@@ -41,9 +41,9 @@ fn unified_fleet(n: usize, trace: Vec<Request>) -> FleetEngine {
 }
 
 fn disagg_fleet(trace: Vec<Request>) -> FleetEngine {
-    FleetEngine::new(
+    FleetEngine::with_fabric(
         vec![gpt2_replica().prefill_only(), gpt2_replica().decode_only()],
-        vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)],
+        Fabric::fifo(vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)]),
         Box::new(StaticControl::new(
             RoutingPolicyKind::LeastOutstanding.build(0),
             RoutingPolicyKind::LeastKvLoad.build(0),

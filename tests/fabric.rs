@@ -14,7 +14,6 @@ use proptest::prelude::*;
 
 use llmservingsim::core::{
     DisaggConfig, Fabric, FabricGraph, FleetEngine, FlowDone, FlowModel, PairingPolicyKind,
-    ReportOutput,
 };
 use llmservingsim::net::LinkSpec;
 use llmservingsim::scenario::Scenario;

@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    AutoscaleConfig, AutoscaleControl, FleetEngine, FlexPools, FlexPoolsConfig, ReplicaRole,
-    ReportOutput, RoutingPolicyKind, SimConfig, StaticControl,
+    AutoscaleConfig, AutoscaleControl, Fabric, FleetEngine, FlexPools, FlexPoolsConfig,
+    ReplicaRole, RoutingPolicyKind, SimConfig, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
@@ -38,7 +38,7 @@ fn scenario(name: &str) -> Scenario {
 #[test]
 fn scenario_corpus_reports_match_pre_refactor_goldens() {
     let corpus = [
-        ("quickstart", vec!["-throughput.tsv"]),
+        ("quickstart", vec!["-throughput.tsv", "-summary.json"]),
         ("cluster_small", vec!["-cluster.tsv", "-summary.json"]),
         ("cluster_routing", vec!["-cluster.tsv"]),
         ("disagg_small", vec!["-disagg.tsv", "-disagg-metrics.tsv", "-summary.json"]),
@@ -61,6 +61,16 @@ fn scenario_corpus_reports_match_pre_refactor_goldens() {
             );
         }
     }
+    // A sweep across the single/cluster boundary pins a single-shape
+    // sweep row next to a cluster row.
+    let path = format!("{}/examples/scenarios/sweep_routing.toml", env!("CARGO_MANIFEST_DIR"));
+    let base = Sweep::from_path(&path).unwrap().base;
+    let sweep = Sweep::new(base).axis("replicas", ["1", "2"]).run().unwrap();
+    assert_eq!(
+        sweep.to_tsv(),
+        golden("sweep_single-sweep.tsv"),
+        "the single-shape sweep row drifted from the pre-refactor golden"
+    );
 }
 
 /// The sweep grid reproduces its pre-refactor consolidated TSV — and the
@@ -110,13 +120,9 @@ fn heterogeneous_autoscale_scenario_runs_and_round_trips() {
     assert_eq!(back, s);
     // End-to-end run: the burst pressure must scale past the initial 2.
     let report = s.run().unwrap();
-    assert_eq!(report.shape(), "fleet");
-    let fleet_report = report.as_fleet().expect("fleet runs produce fleet reports");
-    assert_eq!(fleet_report.total_completions(), 48);
-    assert!(
-        fleet_report.replicas.len() > 2,
-        "the autoscaler never scaled up under burst pressure"
-    );
+    assert_eq!(report.shape.as_str(), "fleet");
+    assert_eq!(report.total_completions(), 48);
+    assert!(report.replicas.len() > 2, "the autoscaler never scaled up under burst pressure");
     // And through the sweep runner (the acceptance path).
     let sweep_path =
         format!("{}/examples/scenarios/sweep_autoscale.toml", env!("CARGO_MANIFEST_DIR"));
@@ -191,9 +197,9 @@ fn flex_fleet(trace: Vec<Request>, tick_ps: u64, idle_ticks: u32) -> FleetEngine
         gpt2_replica().prefill_only(),
         gpt2_replica().decode_only(),
     ];
-    FleetEngine::new(
+    FleetEngine::with_fabric(
         configs,
-        vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)],
+        Fabric::fifo(vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)]),
         Box::new(FlexPools::new(
             RoutingPolicyKind::LeastOutstanding.build(0),
             RoutingPolicyKind::LeastKvLoad.build(0),
@@ -210,13 +216,13 @@ fn flex_fleet(trace: Vec<Request>, tick_ps: u64, idle_ticks: u32) -> FleetEngine
 #[test]
 fn flex_beats_static_p99_tpot_on_phase_shift() {
     let trace = phase_shift_trace(20, 20, 5.0, 0);
-    let static_fleet = FleetEngine::new(
+    let static_fleet = FleetEngine::with_fabric(
         vec![
             gpt2_replica().prefill_only(),
             gpt2_replica().prefill_only(),
             gpt2_replica().decode_only(),
         ],
-        vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)],
+        Fabric::fifo(vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)]),
         Box::new(StaticControl::new(
             RoutingPolicyKind::LeastOutstanding.build(0),
             RoutingPolicyKind::LeastKvLoad.build(0),
@@ -286,9 +292,9 @@ proptest! {
             ..BurstyTraceSpec::default()
         });
         let total = trace.len();
-        let mut engine = FleetEngine::new(
+        let mut engine = FleetEngine::with_fabric(
             vec![gpt2_replica(); min],
-            Vec::new(),
+            Fabric::fifo(Vec::new()),
             Box::new(AutoscaleControl::new(
                 RoutingPolicyKind::LeastOutstanding.build(0),
                 AutoscaleConfig {
@@ -358,13 +364,13 @@ fn fleet_static_roles_match_disagg_wrapper() {
         FleetEngine::disagg(gpt2_replica(), gpt2_replica(), config, fabric, trace.clone())
             .unwrap()
             .run();
-    let fleet = FleetEngine::new(
+    let fleet = FleetEngine::with_fabric(
         vec![
             gpt2_replica().prefill_only(),
             gpt2_replica().prefill_only(),
             gpt2_replica().decode_only(),
         ],
-        vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)],
+        Fabric::fifo(vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)]),
         Box::new(StaticControl::new(
             RoutingPolicyKind::LeastOutstanding.build(0),
             RoutingPolicyKind::LeastKvLoad.build(0),
@@ -400,6 +406,6 @@ fn flex_scenario_via_builder_runs() {
         }))
         .run()
         .unwrap();
-    assert_eq!(report.shape(), "fleet");
+    assert_eq!(report.shape.as_str(), "fleet");
     assert_eq!(report.total_completions(), 12);
 }

@@ -17,12 +17,12 @@
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    FleetEngine, FlexPools, FlexPoolsConfig, ReportOutput, RoutingPolicyKind, SimConfig,
+    Fabric, FleetEngine, FleetReport, FlexPools, FlexPoolsConfig, RoutingPolicyKind, SimConfig,
     StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
-use llmservingsim::scenario::{AnyReport, Scenario, ScenarioError, TelemetrySpec};
+use llmservingsim::scenario::{Scenario, ScenarioError, TelemetrySpec};
 use llmservingsim::sched::{bursty_trace, BurstyTraceSpec, Request};
 
 fn golden(name: &str) -> String {
@@ -37,7 +37,7 @@ fn scenario(name: &str) -> Scenario {
 
 /// Builds and runs a checked-in scenario with the given fleet-scaling
 /// knobs applied post-build (the `--shards` / `--shared-cache` path).
-fn report_for(name: &str, shards: usize, shared: bool) -> AnyReport {
+fn report_for(name: &str, shards: usize, shared: bool) -> FleetReport {
     let mut sim = scenario(name).build().unwrap_or_else(|e| panic!("{name}: {e}"));
     sim.set_shards(shards);
     if shared {
@@ -100,8 +100,8 @@ fn shared_cache_preserves_timing_and_splits_hit_accounting() {
         "the shared cache must not change simulated timing"
     );
 
-    let base = serial.reuse();
-    let tiered = shared.reuse();
+    let base = serial.aggregate_reuse();
+    let tiered = shared.aggregate_reuse();
     assert!(tiered.shared_armed, "enable_shared_cache must arm the stats");
     assert!(!base.shared_armed, "un-shared runs must not report the shared tier");
     assert!(tiered.shared_hits > 0, "homogeneous replicas must share outcomes");
@@ -173,13 +173,13 @@ fn phase_shift_trace(prefill_n: usize, decode_n: usize, seed: u64) -> Vec<Reques
 }
 
 fn flex_fleet(trace: Vec<Request>) -> FleetEngine {
-    FleetEngine::new(
+    FleetEngine::with_fabric(
         vec![
             gpt2_replica().prefill_only(),
             gpt2_replica().prefill_only(),
             gpt2_replica().decode_only(),
         ],
-        vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)],
+        Fabric::fifo(vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)]),
         Box::new(FlexPools::new(
             RoutingPolicyKind::LeastOutstanding.build(0),
             RoutingPolicyKind::LeastKvLoad.build(0),
@@ -209,7 +209,7 @@ fn sharded_flex_fleet_matches_serial() {
 fn hetero_fleet(replicas: usize, trace: Vec<Request>) -> FleetEngine {
     let configs: Vec<SimConfig> =
         (0..replicas).map(|i| gpt2_replica().max_batch(2 + 2 * i)).collect();
-    FleetEngine::new(configs, Vec::new(), static_control(), trace)
+    FleetEngine::with_fabric(configs, Fabric::fifo(Vec::new()), static_control(), trace)
         .expect("gpt2 fits a single Table-I NPU")
 }
 
@@ -235,9 +235,9 @@ proptest! {
             ..BurstyTraceSpec::default()
         });
         let build = |shards: usize| {
-            let mut fleet = FleetEngine::new(
+            let mut fleet = FleetEngine::with_fabric(
                 vec![gpt2_replica(); replicas],
-                Vec::new(),
+                Fabric::fifo(Vec::new()),
                 static_control(),
                 trace.clone(),
             )

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    DisaggConfig, Fabric, FleetEngine, KvBucket, PairingPolicyKind, ReportOutput,
-    RoutingPolicyKind, ServingSimulator, SimConfig, Simulate,
+    DisaggConfig, Fabric, FleetEngine, KvBucket, PairingPolicyKind, RoutingPolicyKind,
+    ServingSimulator, SimConfig,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::scenario::{Scenario, ScenarioError, Sweep};
@@ -16,15 +16,13 @@ fn synthetic(requests: usize, rate: f64, seed: u64) -> WorkloadSpec {
     WorkloadSpec::Synthetic { dataset: Dataset::Alpaca, requests, rate_per_s: rate, seed }
 }
 
-/// The deterministic artifacts of a report: everything except the
-/// wall-clock `-simulation-time.tsv` (which legitimately differs between
-/// any two runs).
-fn deterministic_artifacts(report: &impl ReportOutput) -> Vec<(&'static str, String)> {
-    report
-        .artifacts()
-        .into_iter()
-        .filter(|(suffix, _)| *suffix != "-simulation-time.tsv")
-        .collect()
+/// The deterministic artifacts of a report's `(suffix, content)` list:
+/// everything except the wall-clock `-simulation-time.tsv` (which
+/// legitimately differs between any two runs).
+fn deterministic_artifacts(
+    artifacts: Vec<(&'static str, String)>,
+) -> Vec<(&'static str, String)> {
+    artifacts.into_iter().filter(|(suffix, _)| *suffix != "-simulation-time.tsv").collect()
 }
 
 #[test]
@@ -42,8 +40,8 @@ fn scenario_matches_legacy_unified_run_bit_identically() {
     let legacy = ServingSimulator::new(cfg, trace).unwrap().run();
 
     assert_eq!(
-        deterministic_artifacts(&via_scenario),
-        deterministic_artifacts(&legacy),
+        deterministic_artifacts(via_scenario.artifacts()),
+        deterministic_artifacts(legacy.artifacts()),
         "scenario and legacy unified runs must write byte-equal reports"
     );
 }
@@ -66,7 +64,10 @@ fn scenario_matches_legacy_cluster_run_bit_identically() {
             .unwrap()
             .run();
 
-    assert_eq!(deterministic_artifacts(&via_scenario), deterministic_artifacts(&legacy));
+    assert_eq!(
+        deterministic_artifacts(via_scenario.artifacts()),
+        deterministic_artifacts(legacy.artifacts())
+    );
 }
 
 #[test]
@@ -91,7 +92,10 @@ fn scenario_matches_legacy_disagg_run_bit_identically() {
     let fabric = Fabric::fifo(vec![disagg.kv_link]);
     let legacy = FleetEngine::disagg(cfg.clone(), cfg, disagg, fabric, trace).unwrap().run();
 
-    assert_eq!(deterministic_artifacts(&via_scenario), deterministic_artifacts(&legacy));
+    assert_eq!(
+        deterministic_artifacts(via_scenario.artifacts()),
+        deterministic_artifacts(legacy.artifacts())
+    );
 }
 
 #[test]
@@ -130,9 +134,9 @@ fn checked_in_scenario_files_parse_build_and_round_trip() {
 }
 
 #[test]
-fn simulate_trait_drives_any_shape_through_one_surface() {
-    // Push the same trace into each shape through the Simulate trait
-    // only — no shape-specific calls — and drain it. Pushed ids start at
+fn fleet_engine_drives_every_shape_through_one_surface() {
+    // Push the same trace into each shape's FleetEngine through the same
+    // calls — no shape-specific ones — and drain it. Pushed ids start at
     // 100 so they never collide with the scenario's own workload.
     let trace: Vec<_> = TraceGenerator::new(Dataset::Alpaca, 3)
         .rate_per_s(80.0)
@@ -169,7 +173,7 @@ fn simulate_trait_drives_any_shape_through_one_surface() {
         while sim.step() {}
         // 6 pushed + 1 from the scenario's own workload.
         assert_eq!(sim.completed_requests(), 7, "{}", scenario.shape());
-        let report = sim.finalize();
+        let report = sim.into_report();
         assert_eq!(report.total_completions(), 7);
         assert!(report.makespan_ps() > 0);
     }
@@ -202,7 +206,7 @@ fn adaptive_bucket_scenario_runs_and_reports_annealed_bucket() {
         });
     let report = scenario.run().unwrap();
     assert_eq!(report.total_completions(), 48);
-    let reuse = report.reuse();
+    let reuse = report.replicas[0].report.reuse;
     assert!(reuse.kv_bucket_end > 1, "adaptive bucket never annealed");
     assert!(reuse.kv_bucket_end <= 64, "drift budget exceeded");
 }

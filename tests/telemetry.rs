@@ -8,10 +8,10 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    chrome_trace, timeline_tsv, validate_chrome_trace, MemorySink, ReportOutput, SimEvent,
+    chrome_trace, timeline_tsv, validate_chrome_trace, FleetReport, MemorySink, SimEvent,
     Telemetry, TimelineConfig,
 };
-use llmservingsim::scenario::{AnyReport, FleetSpec, Scenario};
+use llmservingsim::scenario::{FleetSpec, Scenario};
 use llmservingsim::sched::{Dataset, WorkloadSpec};
 
 fn synthetic(requests: usize, rate: f64, seed: u64) -> WorkloadSpec {
@@ -34,7 +34,7 @@ fn shapes(requests: usize, seed: u64) -> Vec<(&'static str, Scenario)> {
 
 /// Builds, attaches a memory sink, runs to completion, and returns the
 /// recorded events alongside the finished report.
-fn traced_run(scenario: &Scenario) -> (Vec<SimEvent>, AnyReport) {
+fn traced_run(scenario: &Scenario) -> (Vec<SimEvent>, FleetReport) {
     let mut sim = scenario.build().expect("scenario builds");
     let sink = Arc::new(Mutex::new(MemorySink::new()));
     sim.set_telemetry(Telemetry::new(sink.clone()));
@@ -77,7 +77,7 @@ fn attaching_telemetry_leaves_report_artifacts_byte_identical() {
     for (name, scenario) in shapes(14, 9) {
         let plain = scenario.run().expect("plain run succeeds");
         let (_, traced) = traced_run(&scenario);
-        let deterministic = |report: &AnyReport| -> Vec<(&'static str, String)> {
+        let deterministic = |report: &FleetReport| -> Vec<(&'static str, String)> {
             report
                 .artifacts()
                 .into_iter()
@@ -92,12 +92,10 @@ fn attaching_telemetry_leaves_report_artifacts_byte_identical() {
     }
 }
 
-/// Checks that every completed request in `events` has a complete
-/// lifecycle — balanced prefill-start/end pairs and exactly one
-/// completion — and, where the shape routes through a front-end (the
-/// stream carries `Arrival`/`Admitted` events), that every admitted
-/// request arrived once, was admitted once, and went on to complete
-/// after its admission.
+/// Checks that every request in `events` has a complete lifecycle: it
+/// arrived once at the front end, was admitted once, went on to complete
+/// after its admission, and ran balanced prefill-start/end pairs with
+/// one completion per serving leg.
 fn assert_complete_lifecycles(name: &str, events: &[SimEvent], completions: usize) {
     use std::collections::BTreeMap;
 
@@ -136,23 +134,19 @@ fn assert_complete_lifecycles(name: &str, events: &[SimEvent], completions: usiz
             life.prefill_starts, life.prefill_ends,
             "{name}: request {id} has unbalanced prefill start/end events"
         );
-        if !life.admitted.is_empty() {
-            // Routed shapes: the front-end half of the lifecycle.
-            assert_eq!(life.arrivals, 1, "{name}: request {id} must arrive exactly once");
-            assert_eq!(
-                life.admitted.len(),
-                1,
-                "{name}: request {id} must be admitted exactly once"
-            );
-            assert!(
-                !life.completed.is_empty(),
-                "{name}: admitted request {id} never completed"
-            );
-            assert!(
-                life.completed.iter().max() >= life.admitted.iter().max(),
-                "{name}: request {id} completed before it was admitted"
-            );
-        }
+        // The front-end half of the lifecycle: every shape, a single
+        // replica included, admits through the fleet front end.
+        assert_eq!(life.arrivals, 1, "{name}: request {id} must arrive exactly once");
+        assert_eq!(
+            life.admitted.len(),
+            1,
+            "{name}: request {id} must be admitted exactly once"
+        );
+        assert!(!life.completed.is_empty(), "{name}: admitted request {id} never completed");
+        assert!(
+            life.completed.iter().max() >= life.admitted.iter().max(),
+            "{name}: request {id} completed before it was admitted"
+        );
         if !life.completed.is_empty() {
             // Engine half: a disaggregated request closes once on its
             // prefill replica and once on its decode replica, so the
@@ -175,6 +169,40 @@ fn assert_complete_lifecycles(name: &str, events: &[SimEvent], completions: usiz
     );
 }
 
+/// Checks the front end's accounting for a run of `requests` requests:
+/// each request id in the trace has exactly one `Arrival` and one
+/// `Admitted` event, and the timeline's `arrivals` and `admitted` columns
+/// each sum to the request count.
+fn assert_front_end_coverage(name: &str, events: &[SimEvent], requests: usize) {
+    let mut arrivals = vec![0usize; requests];
+    let mut admitted = vec![0usize; requests];
+    for event in events {
+        match event {
+            SimEvent::Arrival { id, .. } => arrivals[*id as usize] += 1,
+            SimEvent::Admitted { id, .. } => admitted[*id as usize] += 1,
+            _ => {}
+        }
+    }
+    for id in 0..requests {
+        assert_eq!(arrivals[id], 1, "{name}: request {id} needs exactly one Arrival event");
+        assert_eq!(admitted[id], 1, "{name}: request {id} needs exactly one Admitted event");
+    }
+
+    let tsv = timeline_tsv(events, &TimelineConfig::default());
+    let mut lines = tsv.lines();
+    let header: Vec<&str> = lines.next().expect("timeline header").split('\t').collect();
+    let column = |label: &str| header.iter().position(|h| *h == label).expect(label);
+    let (arrivals_col, admitted_col) = (column("arrivals"), column("admitted"));
+    let (mut arrived, mut admitted) = (0usize, 0usize);
+    for line in lines {
+        let fields: Vec<&str> = line.split('\t').collect();
+        arrived += fields[arrivals_col].parse::<usize>().expect("arrivals is a count");
+        admitted += fields[admitted_col].parse::<usize>().expect("admitted is a count");
+    }
+    assert_eq!(arrived, requests, "{name}: timeline arrivals must sum to the request count");
+    assert_eq!(admitted, requests, "{name}: timeline admissions must sum to the request count");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -186,6 +214,7 @@ proptest! {
         for (name, scenario) in shapes(requests, seed) {
             let (events, report) = traced_run(&scenario);
             assert_complete_lifecycles(name, &events, report.total_completions());
+            assert_front_end_coverage(name, &events, requests);
         }
     }
 }
