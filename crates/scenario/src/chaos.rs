@@ -40,7 +40,7 @@ use llmss_core::{ChaosSchedule, LinkFault, ReplicaFault, ReplicaFaultKind, Retry
 use llmss_sched::TimePs;
 use serde::Value;
 
-use crate::ScenarioError;
+use crate::{codec, ScenarioError};
 
 /// One `[[chaos.replica_fault]]` entry: an explicit replica fault
 /// window in scenario (millisecond) units.
@@ -69,53 +69,23 @@ impl ReplicaFaultSpec {
             ("replica".into(), Value::Int(self.replica as i128)),
             ("kind".into(), Value::Str(self.kind.to_string())),
             ("at_ms".into(), Value::Float(self.at_ms)),
-            ("recover_ms".into(), opt_float(self.recover_ms)),
+            ("recover_ms".into(), self.recover_ms.map_or(Value::Null, Value::Float)),
         ])
     }
 
     fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("chaos.replica_fault: expected a table, got {v:?}"),
-            });
-        };
-        let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-            field: format!("chaos.replica_fault.{field}"),
-            value: format!("{v:?}"),
-            expected: expected.into(),
-        };
         let mut fault = ReplicaFaultSpec::default();
-        for (key, v) in fields {
-            match key.as_str() {
-                "replica" => {
-                    fault.replica =
-                        index_of(v).ok_or_else(|| bad("replica", v, "a replica index"))?;
-                }
-                "kind" => {
-                    let Value::Str(s) = v else {
-                        return Err(bad("kind", v, "crash | hang | drain"));
-                    };
-                    fault.kind =
-                        s.parse().map_err(|e: String| ScenarioError::UnknownValue {
-                            field: "chaos.replica_fault.kind".into(),
-                            value: s.clone(),
-                            expected: e,
-                        })?;
-                }
-                "at_ms" => {
-                    fault.at_ms = f64_of(v).ok_or_else(|| bad("at_ms", v, "milliseconds"))?;
-                }
-                "recover_ms" => {
-                    fault.recover_ms =
-                        opt_f64(v).ok_or_else(|| bad("recover_ms", v, "milliseconds"))?;
-                }
-                other => {
-                    return Err(ScenarioError::UnknownKey {
-                        key: format!("chaos.replica_fault.{other}"),
-                    })
-                }
+        codec::read_scalars("chaos.replica_fault", v, |key, text| {
+            let field = &format!("chaos.replica_fault.{key}");
+            match key {
+                "replica" => fault.replica = codec::parse(field, text)?,
+                "kind" => fault.kind = codec::parse(field, text)?,
+                "at_ms" => fault.at_ms = codec::parse(field, text)?,
+                "recover_ms" => fault.recover_ms = codec::parse_opt(field, text)?,
+                _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
             }
-        }
+            Ok(())
+        })?;
         Ok(fault)
     }
 }
@@ -147,76 +117,25 @@ impl LinkFaultSpec {
         Value::Object(vec![
             ("link".into(), Value::Int(self.link as i128)),
             ("at_ms".into(), Value::Float(self.at_ms)),
-            ("recover_ms".into(), opt_float(self.recover_ms)),
+            ("recover_ms".into(), self.recover_ms.map_or(Value::Null, Value::Float)),
             ("degrade_to_gbps".into(), Value::Float(self.degrade_to_gbps)),
         ])
     }
 
     fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("chaos.link_fault: expected a table, got {v:?}"),
-            });
-        };
-        let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-            field: format!("chaos.link_fault.{field}"),
-            value: format!("{v:?}"),
-            expected: expected.into(),
-        };
         let mut fault = LinkFaultSpec::default();
-        for (key, v) in fields {
-            match key.as_str() {
-                "link" => {
-                    fault.link = index_of(v).ok_or_else(|| bad("link", v, "a link index"))?;
-                }
-                "at_ms" => {
-                    fault.at_ms = f64_of(v).ok_or_else(|| bad("at_ms", v, "milliseconds"))?;
-                }
-                "recover_ms" => {
-                    fault.recover_ms =
-                        opt_f64(v).ok_or_else(|| bad("recover_ms", v, "milliseconds"))?;
-                }
-                "degrade_to_gbps" => {
-                    fault.degrade_to_gbps =
-                        f64_of(v).ok_or_else(|| bad("degrade_to_gbps", v, "GB/s"))?;
-                }
-                other => {
-                    return Err(ScenarioError::UnknownKey {
-                        key: format!("chaos.link_fault.{other}"),
-                    })
-                }
+        codec::read_scalars("chaos.link_fault", v, |key, text| {
+            let field = &format!("chaos.link_fault.{key}");
+            match key {
+                "link" => fault.link = codec::parse(field, text)?,
+                "at_ms" => fault.at_ms = codec::parse(field, text)?,
+                "recover_ms" => fault.recover_ms = codec::parse_opt(field, text)?,
+                "degrade_to_gbps" => fault.degrade_to_gbps = codec::parse(field, text)?,
+                _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
             }
-        }
+            Ok(())
+        })?;
         Ok(fault)
-    }
-}
-
-fn opt_float(v: Option<f64>) -> Value {
-    match v {
-        Some(f) => Value::Float(f),
-        None => Value::Null,
-    }
-}
-
-fn index_of(v: &Value) -> Option<usize> {
-    match v {
-        Value::Int(i) => usize::try_from(*i).ok(),
-        _ => None,
-    }
-}
-
-fn f64_of(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
-    }
-}
-
-fn opt_f64(v: &Value) -> Option<Option<f64>> {
-    match v {
-        Value::Null => Some(None),
-        _ => f64_of(v).map(Some),
     }
 }
 
@@ -293,7 +212,7 @@ impl ChaosSpec {
             ("chaos.horizon_ms", self.horizon_ms),
             ("chaos.retry_backoff_ms", self.retry_backoff_ms),
         ] {
-            if !value.is_finite() || value <= 0.0 {
+            if codec::ms_to_ps(field, value)? == 0 {
                 return invalid(field.into(), format!("must be positive, got {value}"));
             }
         }
@@ -307,70 +226,32 @@ impl ChaosSpec {
             );
         }
         for (i, fault) in self.replica_faults.iter().enumerate() {
-            let field = |name: &str| format!("chaos.replica_fault[{i}].{name}");
-            if !fault.at_ms.is_finite() || fault.at_ms < 0.0 {
+            let field = format!("chaos.replica_fault[{i}]");
+            let (_, recover) = window(&field, fault.at_ms, fault.recover_ms)?;
+            if recover.is_none() && fault.kind == ReplicaFaultKind::Hang {
                 return invalid(
-                    field("at_ms"),
-                    format!("a fault time must be non-negative, got {}", fault.at_ms),
+                    format!("{field}.recover_ms"),
+                    "a hang without a recovery time stalls forever".into(),
                 );
-            }
-            match fault.recover_ms {
-                Some(recover)
-                    if !recover.is_finite() || ms_to_ps(recover) <= ms_to_ps(fault.at_ms) =>
-                {
-                    return invalid(
-                        field("recover_ms"),
-                        format!(
-                            "recovery at {recover} ms must land after the fault at {} ms",
-                            fault.at_ms
-                        ),
-                    );
-                }
-                None if fault.kind == ReplicaFaultKind::Hang => {
-                    return invalid(
-                        field("recover_ms"),
-                        "a hang without a recovery time stalls forever".into(),
-                    );
-                }
-                _ => {}
             }
         }
         for (i, fault) in self.link_faults.iter().enumerate() {
-            let field = |name: &str| format!("chaos.link_fault[{i}].{name}");
-            if !fault.at_ms.is_finite() || fault.at_ms < 0.0 {
-                return invalid(
-                    field("at_ms"),
-                    format!("a fault time must be non-negative, got {}", fault.at_ms),
-                );
-            }
+            let field = format!("chaos.link_fault[{i}]");
             if !fault.degrade_to_gbps.is_finite() || fault.degrade_to_gbps < 0.0 {
                 return invalid(
-                    field("degrade_to_gbps"),
+                    format!("{field}.degrade_to_gbps"),
                     format!(
                         "degraded bandwidth must be non-negative, got {}",
                         fault.degrade_to_gbps
                     ),
                 );
             }
-            match fault.recover_ms {
-                Some(recover)
-                    if !recover.is_finite() || ms_to_ps(recover) <= ms_to_ps(fault.at_ms) =>
-                {
-                    return invalid(
-                        field("recover_ms"),
-                        format!(
-                            "recovery at {recover} ms must land after the fault at {} ms",
-                            fault.at_ms
-                        ),
-                    );
-                }
-                None if fault.degrade_to_gbps == 0.0 => {
-                    return invalid(
-                        field("recover_ms"),
-                        "a full partition without a recovery time stalls forever".into(),
-                    );
-                }
-                _ => {}
+            let (_, recover) = window(&field, fault.at_ms, fault.recover_ms)?;
+            if recover.is_none() && fault.degrade_to_gbps == 0.0 {
+                return invalid(
+                    format!("{field}.recover_ms"),
+                    "a full partition without a recovery time stalls forever".into(),
+                );
             }
         }
         Ok(())
@@ -383,14 +264,15 @@ impl ChaosSpec {
     /// # Errors
     ///
     /// Returns [`ScenarioError::InvalidValue`] for an explicit fault
-    /// that targets a replica or link the deployment does not have.
+    /// that targets a replica or link the deployment does not have, and
+    /// for a time [`validate`](Self::validate) rejects.
     pub fn build(&self, replicas: usize, links: usize) -> Result<ChaosSchedule, ScenarioError> {
         let mut schedule = if self.crash_rate_per_s > 0.0 {
             ChaosSchedule::seeded(
                 self.seed,
                 self.crash_rate_per_s,
-                ms_to_ps(self.mttr_ms),
-                ms_to_ps(self.horizon_ms),
+                codec::ms_to_ps("chaos.mttr_ms", self.mttr_ms)?,
+                codec::ms_to_ps("chaos.horizon_ms", self.horizon_ms)?,
                 replicas,
             )
         } else {
@@ -406,11 +288,13 @@ impl ChaosSpec {
                     ),
                 });
             }
+            let (at_ps, recover_ps) =
+                window(&format!("chaos.replica_fault[{i}]"), fault.at_ms, fault.recover_ms)?;
             schedule = schedule.replica_fault(ReplicaFault {
                 replica: fault.replica,
                 kind: fault.kind,
-                at_ps: ms_to_ps(fault.at_ms),
-                recover_ps: fault.recover_ms.map(ms_to_ps),
+                at_ps,
+                recover_ps,
             });
         }
         for (i, fault) in self.link_faults.iter().enumerate() {
@@ -423,16 +307,18 @@ impl ChaosSpec {
                     ),
                 });
             }
+            let (at_ps, recover_ps) =
+                window(&format!("chaos.link_fault[{i}]"), fault.at_ms, fault.recover_ms)?;
             schedule = schedule.link_fault(LinkFault {
                 link: fault.link,
-                at_ps: ms_to_ps(fault.at_ms),
-                recover_ps: fault.recover_ms.map(ms_to_ps),
+                at_ps,
+                recover_ps,
                 degrade_to_gbps: fault.degrade_to_gbps,
             });
         }
         Ok(schedule.retry(RetryPolicy {
             max_retries: self.max_retries,
-            backoff_ps: ms_to_ps(self.retry_backoff_ms),
+            backoff_ps: codec::ms_to_ps("chaos.retry_backoff_ms", self.retry_backoff_ms)?,
             backoff_multiplier: self.retry_backoff_mult,
         }))
     }
@@ -441,25 +327,16 @@ impl ChaosSpec {
     /// [`Scenario::set`](crate::Scenario::set) — sweep axes and `--set`).
     /// The fault lists are not string-addressable.
     pub(crate) fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: format!("chaos.{field}"),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
-        }
+        let field = &format!("chaos.{key}");
         match key {
-            "seed" => self.seed = parse(key, value)?,
-            "crash_rate_per_s" => self.crash_rate_per_s = parse(key, value)?,
-            "mttr_ms" => self.mttr_ms = parse(key, value)?,
-            "horizon_ms" => self.horizon_ms = parse(key, value)?,
-            "max_retries" => self.max_retries = parse(key, value)?,
-            "retry_backoff_ms" => self.retry_backoff_ms = parse(key, value)?,
-            "retry_backoff_mult" => self.retry_backoff_mult = parse(key, value)?,
-            other => return Err(ScenarioError::UnknownKey { key: format!("chaos.{other}") }),
+            "seed" => self.seed = codec::parse(field, value)?,
+            "crash_rate_per_s" => self.crash_rate_per_s = codec::parse(field, value)?,
+            "mttr_ms" => self.mttr_ms = codec::parse(field, value)?,
+            "horizon_ms" => self.horizon_ms = codec::parse(field, value)?,
+            "max_retries" => self.max_retries = codec::parse(field, value)?,
+            "retry_backoff_ms" => self.retry_backoff_ms = codec::parse(field, value)?,
+            "retry_backoff_mult" => self.retry_backoff_mult = codec::parse(field, value)?,
+            _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
         }
         Ok(())
     }
@@ -487,55 +364,50 @@ impl ChaosSpec {
 
     /// Rebuilds the table from a value tree with typed errors.
     pub(crate) fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("chaos: expected a table, got {v:?}"),
-            });
-        };
         let mut spec = ChaosSpec::default();
-        for (key, value) in fields {
-            if key == "replica_fault" || key == "link_fault" {
-                let Value::Array(items) = value else {
-                    return Err(ScenarioError::Parse {
-                        message: format!("chaos.{key}: expected an array, got {value:?}"),
-                    });
-                };
-                if key == "replica_fault" {
-                    spec.replica_faults = items
+        for (key, value) in codec::table("chaos", v)? {
+            let field = &format!("chaos.{key}");
+            match key.as_str() {
+                "replica_fault" => {
+                    spec.replica_faults = codec::array(field, value)?
                         .iter()
                         .map(ReplicaFaultSpec::from_value)
                         .collect::<Result<_, _>>()?;
-                } else {
-                    spec.link_faults = items
+                }
+                "link_fault" => {
+                    spec.link_faults = codec::array(field, value)?
                         .iter()
                         .map(LinkFaultSpec::from_value)
                         .collect::<Result<_, _>>()?;
                 }
-                continue;
+                _ => spec.set(key, &codec::scalar_text(field, value)?)?,
             }
-            let text = match value {
-                Value::Null => "none".to_owned(),
-                Value::Str(s) => s.clone(),
-                Value::Int(i) => i.to_string(),
-                Value::Float(f) => format!("{f:?}"),
-                Value::Bool(b) => b.to_string(),
-                other => {
-                    return Err(ScenarioError::UnknownValue {
-                        field: format!("chaos.{key}"),
-                        value: format!("{other:?}"),
-                        expected: "a scalar".into(),
-                    })
-                }
-            };
-            spec.set(key, &text)?;
         }
         Ok(spec)
     }
 }
 
-/// Scenario milliseconds to engine picoseconds (the repo-wide idiom).
-fn ms_to_ps(ms: f64) -> TimePs {
-    (ms * 1e9).round() as TimePs
+/// The fault window `field` describes, in picoseconds: the checked
+/// `at_ms` and optional `recover_ms`, with recovery strictly after the
+/// fault.
+fn window(
+    field: &str,
+    at_ms: f64,
+    recover_ms: Option<f64>,
+) -> Result<(TimePs, Option<TimePs>), ScenarioError> {
+    let at = codec::ms_to_ps(&format!("{field}.at_ms"), at_ms)?;
+    let Some(recover_ms) = recover_ms else { return Ok((at, None)) };
+    let recover_field = format!("{field}.recover_ms");
+    let recover = codec::ms_to_ps(&recover_field, recover_ms)?;
+    if recover <= at {
+        return Err(ScenarioError::InvalidValue {
+            field: recover_field,
+            message: format!(
+                "recovery at {recover_ms} ms must land after the fault at {at_ms} ms"
+            ),
+        });
+    }
+    Ok((at, Some(recover)))
 }
 
 #[cfg(test)]

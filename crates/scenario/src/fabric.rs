@@ -30,6 +30,7 @@ use llmss_core::{Fabric, FabricGraph, FabricTopology, NamedLink, RouteSpec};
 use llmss_net::LinkSpec;
 use serde::Value;
 
+use crate::codec::{self, Names};
 use crate::ScenarioError;
 
 /// How concurrent transfers share the fabric.
@@ -46,12 +47,13 @@ pub enum FabricSharing {
 }
 
 impl FabricSharing {
+    /// Every discipline's scenario-file spelling.
+    pub(crate) const NAMES: Names<Self> =
+        &[("fair", FabricSharing::Fair), ("fifo", FabricSharing::Fifo)];
+
     /// The scenario-file spelling.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            FabricSharing::Fair => "fair",
-            FabricSharing::Fifo => "fifo",
-        }
+        codec::name(Self::NAMES, *self)
     }
 }
 
@@ -65,11 +67,9 @@ impl std::str::FromStr for FabricSharing {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fair" => Ok(FabricSharing::Fair),
-            "fifo" => Ok(FabricSharing::Fifo),
-            other => Err(format!("unknown fabric sharing '{other}' (expected fair | fifo)")),
-        }
+        codec::lookup(Self::NAMES, s).ok_or_else(|| {
+            format!("unknown fabric sharing '{s}' (expected {})", codec::expected(Self::NAMES))
+        })
     }
 }
 
@@ -259,136 +259,63 @@ impl FabricSpec {
     /// of [`Scenario::set`](crate::Scenario::set) — sweep axes and
     /// `--set`). The link/route lists are not string-addressable.
     pub(crate) fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: format!("fabric.{field}"),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
-        }
-        let opt_f64 = |field: &str, value: &str| -> Result<Option<f64>, ScenarioError> {
-            if value == "none" {
-                Ok(None)
-            } else {
-                parse(field, value).map(Some)
-            }
-        };
+        let field = &format!("fabric.{key}");
         match key {
-            "topology" => {
-                self.topology = if value == "none" { None } else { Some(value.to_owned()) }
-            }
-            "sharing" => self.sharing = parse(key, value)?,
-            "bw_gbps" => self.bw_gbps = opt_f64(key, value)?,
-            "latency_ns" => self.latency_ns = opt_f64(key, value)?,
-            "trunk_gbps" => self.trunk_gbps = opt_f64(key, value)?,
-            other => return Err(ScenarioError::UnknownKey { key: format!("fabric.{other}") }),
+            "topology" => self.topology = codec::parse_opt(field, value)?,
+            "sharing" => self.sharing = codec::from_name(field, FabricSharing::NAMES, value)?,
+            "bw_gbps" => self.bw_gbps = codec::parse_opt(field, value)?,
+            "latency_ns" => self.latency_ns = codec::parse_opt(field, value)?,
+            "trunk_gbps" => self.trunk_gbps = codec::parse_opt(field, value)?,
+            _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
         }
         Ok(())
     }
 
     /// Renders the table as a value tree in canonical key order.
     pub(crate) fn to_value(&self) -> Value {
-        let opt_float = |v: Option<f64>| match v {
-            Some(f) => Value::Float(f),
-            None => Value::Null,
-        };
+        let links = self.links.iter().map(|l| {
+            Value::Object(vec![
+                ("name".into(), Value::Str(l.name.clone())),
+                ("gbps".into(), Value::Float(l.gbps)),
+                ("latency_ns".into(), l.latency_ns.map_or(Value::Null, Value::Float)),
+            ])
+        });
+        let routes = self.routes.iter().map(|r| {
+            Value::Object(vec![
+                ("from".into(), Value::Int(r.from as i128)),
+                ("to".into(), Value::Int(r.to as i128)),
+                ("path".into(), Value::Array(r.path.iter().cloned().map(Value::Str).collect())),
+            ])
+        });
         Value::Object(vec![
-            (
-                "topology".into(),
-                match &self.topology {
-                    Some(t) => Value::Str(t.clone()),
-                    None => Value::Null,
-                },
-            ),
+            ("topology".into(), self.topology.clone().map_or(Value::Null, Value::Str)),
             ("sharing".into(), Value::Str(self.sharing.as_str().into())),
-            ("bw_gbps".into(), opt_float(self.bw_gbps)),
-            ("latency_ns".into(), opt_float(self.latency_ns)),
-            ("trunk_gbps".into(), opt_float(self.trunk_gbps)),
-            (
-                "link".into(),
-                Value::Array(
-                    self.links
-                        .iter()
-                        .map(|l| {
-                            Value::Object(vec![
-                                ("name".into(), Value::Str(l.name.clone())),
-                                ("gbps".into(), Value::Float(l.gbps)),
-                                ("latency_ns".into(), opt_float(l.latency_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "route".into(),
-                Value::Array(
-                    self.routes
-                        .iter()
-                        .map(|r| {
-                            Value::Object(vec![
-                                ("from".into(), Value::Int(r.from as i128)),
-                                ("to".into(), Value::Int(r.to as i128)),
-                                (
-                                    "path".into(),
-                                    Value::Array(
-                                        r.path.iter().map(|p| Value::Str(p.clone())).collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("bw_gbps".into(), self.bw_gbps.map_or(Value::Null, Value::Float)),
+            ("latency_ns".into(), self.latency_ns.map_or(Value::Null, Value::Float)),
+            ("trunk_gbps".into(), self.trunk_gbps.map_or(Value::Null, Value::Float)),
+            ("link".into(), Value::Array(links.collect())),
+            ("route".into(), Value::Array(routes.collect())),
         ])
     }
 
     /// Rebuilds the table from a value tree with typed errors.
     pub(crate) fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("fabric: expected a table, got {v:?}"),
-            });
-        };
         let mut spec = FabricSpec::default();
-        for (key, value) in fields {
+        for (key, value) in codec::table("fabric", v)? {
             match key.as_str() {
                 "link" => {
-                    let Value::Array(items) = value else {
-                        return Err(ScenarioError::Parse {
-                            message: format!("fabric.link: expected an array, got {value:?}"),
-                        });
-                    };
-                    spec.links = items.iter().map(link_from_value).collect::<Result<_, _>>()?;
+                    spec.links = codec::array("fabric.link", value)?
+                        .iter()
+                        .map(link_from_value)
+                        .collect::<Result<_, _>>()?;
                 }
                 "route" => {
-                    let Value::Array(items) = value else {
-                        return Err(ScenarioError::Parse {
-                            message: format!("fabric.route: expected an array, got {value:?}"),
-                        });
-                    };
-                    spec.routes =
-                        items.iter().map(route_from_value).collect::<Result<_, _>>()?;
+                    spec.routes = codec::array("fabric.route", value)?
+                        .iter()
+                        .map(route_from_value)
+                        .collect::<Result<_, _>>()?;
                 }
-                _ => {
-                    let text = match value {
-                        Value::Null => "none".to_owned(),
-                        Value::Str(s) => s.clone(),
-                        Value::Int(i) => i.to_string(),
-                        Value::Float(f) => format!("{f:?}"),
-                        Value::Bool(b) => b.to_string(),
-                        other => {
-                            return Err(ScenarioError::UnknownValue {
-                                field: format!("fabric.{key}"),
-                                value: format!("{other:?}"),
-                                expected: "a scalar".into(),
-                            })
-                        }
-                    };
-                    spec.set(key, &text)?;
-                }
+                _ => spec.set(key, &codec::scalar_text(&format!("fabric.{key}"), value)?)?,
             }
         }
         Ok(spec)
@@ -396,41 +323,17 @@ impl FabricSpec {
 }
 
 fn link_from_value(v: &Value) -> Result<FabricLink, ScenarioError> {
-    let Value::Object(fields) = v else {
-        return Err(ScenarioError::Parse {
-            message: format!("fabric.link: expected a table, got {v:?}"),
-        });
-    };
-    let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-        field: format!("fabric.link.{field}"),
-        value: format!("{v:?}"),
-        expected: expected.into(),
-    };
-    let mut name = None;
-    let mut gbps = None;
-    let mut latency_ns = None;
-    for (key, v) in fields {
-        match key.as_str() {
-            "name" => match v {
-                Value::Str(s) => name = Some(s.clone()),
-                other => return Err(bad("name", other, "a link name")),
-            },
-            "gbps" => match v {
-                Value::Float(f) => gbps = Some(*f),
-                Value::Int(i) => gbps = Some(*i as f64),
-                other => return Err(bad("gbps", other, "GB/s")),
-            },
-            "latency_ns" => match v {
-                Value::Null => latency_ns = None,
-                Value::Float(f) => latency_ns = Some(*f),
-                Value::Int(i) => latency_ns = Some(*i as f64),
-                other => return Err(bad("latency_ns", other, "nanoseconds")),
-            },
-            other => {
-                return Err(ScenarioError::UnknownKey { key: format!("fabric.link.{other}") })
-            }
+    let (mut name, mut gbps, mut latency_ns) = (None, None, None);
+    codec::read_scalars("fabric.link", v, |key, text| {
+        let field = &format!("fabric.link.{key}");
+        match key {
+            "name" => name = Some(text.to_owned()),
+            "gbps" => gbps = Some(codec::parse(field, text)?),
+            "latency_ns" => latency_ns = codec::parse_opt(field, text)?,
+            _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
         }
-    }
+        Ok(())
+    })?;
     let name = name.ok_or_else(|| ScenarioError::InvalidValue {
         field: "fabric.link".into(),
         message: "every [[fabric.link]] needs a name".into(),
@@ -443,54 +346,26 @@ fn link_from_value(v: &Value) -> Result<FabricLink, ScenarioError> {
 }
 
 fn route_from_value(v: &Value) -> Result<FabricRoute, ScenarioError> {
-    let Value::Object(fields) = v else {
-        return Err(ScenarioError::Parse {
-            message: format!("fabric.route: expected a table, got {v:?}"),
-        });
-    };
-    let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-        field: format!("fabric.route.{field}"),
-        value: format!("{v:?}"),
-        expected: expected.into(),
-    };
-    let mut from = None;
-    let mut to = None;
-    let mut path = Vec::new();
-    for (key, v) in fields {
+    let (mut from, mut to, mut path) = (None, None, Vec::new());
+    for (key, v) in codec::table("fabric.route", v)? {
+        let field = &format!("fabric.route.{key}");
         match key.as_str() {
-            "from" => match v {
-                Value::Int(i) if *i >= 0 => from = Some(*i as usize),
-                other => return Err(bad("from", other, "a replica index")),
-            },
-            "to" => match v {
-                Value::Int(i) if *i >= 0 => to = Some(*i as usize),
-                other => return Err(bad("to", other, "a replica index")),
-            },
-            "path" => match v {
-                Value::Array(items) => {
-                    path = items
-                        .iter()
-                        .map(|p| match p {
-                            Value::Str(s) => Ok(s.clone()),
-                            other => Err(bad("path", other, "link names")),
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                other => return Err(bad("path", other, "an array of link names")),
-            },
-            other => {
-                return Err(ScenarioError::UnknownKey { key: format!("fabric.route.{other}") })
+            "from" => from = Some(codec::parse(field, &codec::scalar_text(field, v)?)?),
+            "to" => to = Some(codec::parse(field, &codec::scalar_text(field, v)?)?),
+            "path" => {
+                path = codec::array(field, v)?
+                    .iter()
+                    .map(|hop| codec::scalar_text(field, hop))
+                    .collect::<Result<_, _>>()?;
             }
+            _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
         }
     }
-    let (from, to) = match (from, to) {
-        (Some(f), Some(t)) => (f, t),
-        _ => {
-            return Err(ScenarioError::InvalidValue {
-                field: "fabric.route".into(),
-                message: "every [[fabric.route]] needs from and to".into(),
-            })
-        }
+    let (Some(from), Some(to)) = (from, to) else {
+        return Err(ScenarioError::InvalidValue {
+            field: "fabric.route".into(),
+            message: "every [[fabric.route]] needs from and to".into(),
+        });
     };
     Ok(FabricRoute { from, to, path })
 }

@@ -30,6 +30,7 @@
 use llmss_core::ReplicaRole;
 use serde::Value;
 
+use crate::codec::{self, Names};
 use crate::ScenarioError;
 
 /// Which control plane drives the fleet.
@@ -44,13 +45,16 @@ pub enum FleetControlKind {
 }
 
 impl FleetControlKind {
+    /// Every control plane's scenario-file spelling.
+    pub(crate) const NAMES: Names<Self> = &[
+        ("static", FleetControlKind::Static),
+        ("flex", FleetControlKind::Flex),
+        ("autoscale", FleetControlKind::Autoscale),
+    ];
+
     /// The scenario-file spelling.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            FleetControlKind::Static => "static",
-            FleetControlKind::Flex => "flex",
-            FleetControlKind::Autoscale => "autoscale",
-        }
+        codec::name(Self::NAMES, *self)
     }
 }
 
@@ -64,14 +68,9 @@ impl std::str::FromStr for FleetControlKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "static" => Ok(FleetControlKind::Static),
-            "flex" => Ok(FleetControlKind::Flex),
-            "autoscale" => Ok(FleetControlKind::Autoscale),
-            other => Err(format!(
-                "unknown fleet control '{other}' (expected static | flex | autoscale)"
-            )),
-        }
+        codec::lookup(Self::NAMES, s).ok_or_else(|| {
+            format!("unknown fleet control '{s}' (expected {})", codec::expected(Self::NAMES))
+        })
     }
 }
 
@@ -110,86 +109,33 @@ impl ReplicaOverride {
     }
 
     fn to_value(self) -> Value {
-        let opt_int = |v: Option<usize>| match v {
-            Some(n) => Value::Int(n as i128),
-            None => Value::Null,
-        };
-        let opt_float = |v: Option<f64>| match v {
-            Some(f) => Value::Float(f),
-            None => Value::Null,
-        };
+        let int = |n: usize| Value::Int(n as i128);
         Value::Object(vec![
             ("role".into(), Value::Str(self.role.to_string())),
-            ("npus".into(), opt_int(self.npus)),
-            ("max_batch".into(), opt_int(self.max_batch)),
-            ("batch_delay_ms".into(), opt_float(self.batch_delay_ms)),
-            ("npu_mem_gib".into(), opt_float(self.npu_mem_gib)),
+            ("npus".into(), self.npus.map_or(Value::Null, int)),
+            ("max_batch".into(), self.max_batch.map_or(Value::Null, int)),
+            ("batch_delay_ms".into(), self.batch_delay_ms.map_or(Value::Null, Value::Float)),
+            ("npu_mem_gib".into(), self.npu_mem_gib.map_or(Value::Null, Value::Float)),
         ])
     }
 
-    fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("fleet.replica: expected a table, got {v:?}"),
-            });
-        };
-        let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-            field: format!("fleet.replica.{field}"),
-            value: format!("{v:?}"),
-            expected: expected.into(),
-        };
-        let mut over = ReplicaOverride::default();
-        for (key, v) in fields {
-            match key.as_str() {
-                "role" => {
-                    let Value::Str(s) = v else {
-                        return Err(bad("role", v, "unified | prefill | decode"));
-                    };
-                    over.role = s.parse().map_err(|e: String| ScenarioError::UnknownValue {
-                        field: "fleet.replica.role".into(),
-                        value: s.clone(),
-                        expected: e,
-                    })?;
-                }
-                "npus" => {
-                    over.npus = opt_usize(v).ok_or_else(|| bad("npus", v, "an NPU count"))?
-                }
-                "max_batch" => {
-                    over.max_batch =
-                        opt_usize(v).ok_or_else(|| bad("max_batch", v, "a batch size"))?
-                }
-                "batch_delay_ms" => {
-                    over.batch_delay_ms =
-                        opt_f64(v).ok_or_else(|| bad("batch_delay_ms", v, "milliseconds"))?
-                }
-                "npu_mem_gib" => {
-                    over.npu_mem_gib = opt_f64(v).ok_or_else(|| bad("npu_mem_gib", v, "GiB"))?
-                }
-                other => {
-                    return Err(ScenarioError::UnknownKey {
-                        key: format!("fleet.replica.{other}"),
-                    })
-                }
-            }
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let field = &format!("fleet.replica.{key}");
+        match key {
+            "role" => self.role = codec::parse(field, value)?,
+            "npus" => self.npus = codec::parse_opt(field, value)?,
+            "max_batch" => self.max_batch = codec::parse_opt(field, value)?,
+            "batch_delay_ms" => self.batch_delay_ms = codec::parse_opt(field, value)?,
+            "npu_mem_gib" => self.npu_mem_gib = codec::parse_opt(field, value)?,
+            _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
         }
+        Ok(())
+    }
+
+    fn from_value(v: &Value) -> Result<Self, ScenarioError> {
+        let mut over = ReplicaOverride::default();
+        codec::read_scalars("fleet.replica", v, |key, text| over.set(key, text))?;
         Ok(over)
-    }
-}
-
-fn opt_usize(v: &Value) -> Option<Option<usize>> {
-    match v {
-        Value::Null => Some(None),
-        Value::Int(i) => usize::try_from(*i).ok().map(Some),
-        _ => None,
-    }
-}
-
-fn opt_f64(v: &Value) -> Option<Option<f64>> {
-    match v {
-        Value::Null => Some(None),
-        Value::Float(f) => Some(Some(*f)),
-        Value::Int(i) => Some(Some(*i as f64)),
-        _ => None,
     }
 }
 
@@ -276,29 +222,22 @@ impl FleetSpec {
     /// [`Scenario::set`](crate::Scenario::set) — sweep axes and `--set`).
     /// The per-replica list is not string-addressable.
     pub(crate) fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: format!("fleet.{field}"),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
-        }
+        let field = &format!("fleet.{key}");
         match key {
-            "control" => self.control = parse(key, value)?,
-            "tick_ms" => self.tick_ms = parse(key, value)?,
-            "flex_idle_ticks" => self.flex_idle_ticks = parse(key, value)?,
-            "min_prefill" => self.min_prefill = parse(key, value)?,
-            "min_replicas" => self.min_replicas = parse(key, value)?,
-            "max_replicas" => self.max_replicas = parse(key, value)?,
-            "queue_high" => self.queue_high = parse(key, value)?,
-            "queue_low" => self.queue_low = parse(key, value)?,
-            "warmup_ms" => self.warmup_ms = parse(key, value)?,
-            "shards" => self.shards = parse(key, value)?,
-            "shared_cache" => self.shared_cache = parse(key, value)?,
-            other => return Err(ScenarioError::UnknownKey { key: format!("fleet.{other}") }),
+            "control" => {
+                self.control = codec::from_name(field, FleetControlKind::NAMES, value)?
+            }
+            "tick_ms" => self.tick_ms = codec::parse(field, value)?,
+            "flex_idle_ticks" => self.flex_idle_ticks = codec::parse(field, value)?,
+            "min_prefill" => self.min_prefill = codec::parse(field, value)?,
+            "min_replicas" => self.min_replicas = codec::parse(field, value)?,
+            "max_replicas" => self.max_replicas = codec::parse(field, value)?,
+            "queue_high" => self.queue_high = codec::parse(field, value)?,
+            "queue_low" => self.queue_low = codec::parse(field, value)?,
+            "warmup_ms" => self.warmup_ms = codec::parse(field, value)?,
+            "shards" => self.shards = codec::parse(field, value)?,
+            "shared_cache" => self.shared_cache = codec::parse_bool(field, value)?,
+            _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
         }
         Ok(())
     }
@@ -333,37 +272,16 @@ impl FleetSpec {
 
     /// Rebuilds the table from a value tree with typed errors.
     pub(crate) fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("fleet: expected a table, got {v:?}"),
-            });
-        };
         let mut spec = FleetSpec::default();
-        for (key, value) in fields {
+        for (key, value) in codec::table("fleet", v)? {
             if key == "replica" {
-                let Value::Array(items) = value else {
-                    return Err(ScenarioError::Parse {
-                        message: format!("fleet.replica: expected an array, got {value:?}"),
-                    });
-                };
-                spec.replicas =
-                    items.iter().map(ReplicaOverride::from_value).collect::<Result<_, _>>()?;
-                continue;
+                spec.replicas = codec::array("fleet.replica", value)?
+                    .iter()
+                    .map(ReplicaOverride::from_value)
+                    .collect::<Result<_, _>>()?;
+            } else {
+                spec.set(key, &codec::scalar_text(&format!("fleet.{key}"), value)?)?;
             }
-            let text = match value {
-                Value::Str(s) => s.clone(),
-                Value::Int(i) => i.to_string(),
-                Value::Float(f) => format!("{f:?}"),
-                Value::Bool(b) => b.to_string(),
-                other => {
-                    return Err(ScenarioError::UnknownValue {
-                        field: format!("fleet.{key}"),
-                        value: format!("{other:?}"),
-                        expected: "a scalar".into(),
-                    })
-                }
-            };
-            spec.set(key, &text)?;
         }
         Ok(spec)
     }

@@ -46,6 +46,7 @@
 #![warn(missing_debug_implementations)]
 
 mod chaos;
+mod codec;
 mod error;
 mod fabric;
 mod fleet;

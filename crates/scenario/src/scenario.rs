@@ -8,12 +8,31 @@ use llmss_core::{
 };
 use llmss_model::ModelSpec;
 use llmss_net::LinkSpec;
-use llmss_sched::{Request, SchedulingPolicy, TimePs, Workload, WorkloadSpec};
+use llmss_sched::{Request, SchedulingPolicy, Workload, WorkloadSpec};
 use serde::{Deserialize, Error, Serialize, Value};
 
+use crate::codec::{self, Names};
 use crate::{
     toml, ChaosSpec, FabricSpec, FleetControlKind, FleetSpec, ScenarioError, TelemetrySpec,
 };
+
+/// The `scheduling` spellings.
+const SCHEDULING: Names<SchedulingPolicy> =
+    &[("orca", SchedulingPolicy::IterationLevel), ("request", SchedulingPolicy::RequestLevel)];
+
+/// The `parallel` spellings.
+const PARALLEL: Names<ParallelismKind> = &[
+    ("tensor", ParallelismKind::Tensor),
+    ("pipeline", ParallelismKind::Pipeline),
+    ("hybrid", ParallelismKind::Hybrid),
+];
+
+/// The `kv_manage` spellings.
+const KV_MANAGE: Names<KvManage> = &[("vllm", KvManage::Vllm), ("max", KvManage::MaxLen)];
+
+/// The `pim` spellings.
+const PIM: Names<PimMode> =
+    &[("none", PimMode::None), ("local", PimMode::Local), ("pool", PimMode::Pool)];
 
 /// The serving shape a scenario describes, derived from its
 /// `replicas`/`disagg` fields.
@@ -457,6 +476,9 @@ impl Scenario {
         if self.replicas == 0 {
             return invalid("replicas", "the fleet needs at least one replica".into());
         }
+        // The schedulers add the delay to arrival times unchecked: the
+        // codec's bound keeps that sum inside a `TimePs`.
+        codec::ms_to_ps("batch_delay_ms", self.batch_delay_ms)?;
         if let Some((p, d)) = self.disagg {
             if p == 0 || d == 0 {
                 return invalid("disagg", "both pools need at least one replica".into());
@@ -545,10 +567,10 @@ impl Scenario {
         if size == 0 {
             return invalid("fleet", "the fleet needs at least one replica".into());
         }
-        if !fleet.tick_ms.is_finite() || fleet.tick_ms <= 0.0 {
+        if codec::ms_to_ps("fleet.tick_ms", fleet.tick_ms)? == 0 {
             return invalid(
                 "fleet.tick_ms",
-                format!("the control tick must be positive, got {}", fleet.tick_ms),
+                format!("the control tick must be at least 1 ps, got {:?} ms", fleet.tick_ms),
             );
         }
         if fleet.shards == 0 {
@@ -662,15 +684,7 @@ impl Scenario {
                         ),
                     );
                 }
-                if !fleet.warmup_ms.is_finite() || fleet.warmup_ms < 0.0 {
-                    return invalid(
-                        "fleet.warmup_ms",
-                        format!(
-                            "the warm-up delay cannot be negative, got {}",
-                            fleet.warmup_ms
-                        ),
-                    );
-                }
+                codec::ms_to_ps("fleet.warmup_ms", fleet.warmup_ms)?;
             }
         }
         Ok(())
@@ -828,7 +842,6 @@ impl Scenario {
         fleet: &FleetSpec,
         trace: Vec<Request>,
     ) -> Result<FleetEngine, ScenarioError> {
-        let ms_to_ps = |ms: f64| (ms * 1e9).round() as TimePs;
         let replicas = fleet.size(self.replicas);
         let mut configs = Vec::with_capacity(replicas);
         for i in 0..replicas {
@@ -868,6 +881,7 @@ impl Scenario {
             }
             None => Fabric::fifo(Vec::new()),
         };
+        let tick_ps = codec::ms_to_ps("fleet.tick_ms", fleet.tick_ms)?;
         let control: Box<dyn ControlPlane> = match fleet.control {
             FleetControlKind::Static => Box::new(StaticControl::new(
                 self.routing.build(self.seed),
@@ -877,7 +891,7 @@ impl Scenario {
                 self.routing.build(self.seed),
                 self.pairing.build(),
                 FlexPoolsConfig {
-                    tick_ps: ms_to_ps(fleet.tick_ms),
+                    tick_ps,
                     idle_ticks: fleet.flex_idle_ticks,
                     min_prefill: fleet.min_prefill,
                 },
@@ -885,12 +899,12 @@ impl Scenario {
             FleetControlKind::Autoscale => Box::new(AutoscaleControl::new(
                 self.routing.build(self.seed),
                 AutoscaleConfig {
-                    tick_ps: ms_to_ps(fleet.tick_ms),
+                    tick_ps,
                     min_replicas: fleet.min_replicas,
                     max_replicas: fleet.max_replicas,
                     queue_high: fleet.queue_high,
                     queue_low: fleet.queue_low,
-                    warmup_ps: ms_to_ps(fleet.warmup_ms),
+                    warmup_ps: codec::ms_to_ps("fleet.warmup_ms", fleet.warmup_ms)?,
                 },
             )),
         };
@@ -935,216 +949,98 @@ impl Scenario {
     /// [`ScenarioError::UnknownKey`] for keys outside the schema,
     /// [`ScenarioError::UnknownValue`] when the value does not parse.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: field.into(),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
-        }
-        fn parse_bool(field: &str, value: &str) -> Result<bool, ScenarioError> {
-            match value {
-                "true" | "1" | "on" => Ok(true),
-                "false" | "0" | "off" => Ok(false),
-                _ => Err(ScenarioError::UnknownValue {
-                    field: field.into(),
-                    value: value.into(),
-                    expected: "true | false".into(),
-                }),
-            }
-        }
-        if let Some(subkey) = key.strip_prefix("fleet.") {
-            return self.fleet.get_or_insert_with(FleetSpec::default).set(subkey, value);
-        }
-        if let Some(subkey) = key.strip_prefix("fabric.") {
-            return self.fabric.get_or_insert_with(FabricSpec::default).set(subkey, value);
-        }
-        if let Some(subkey) = key.strip_prefix("telemetry.") {
-            return self
-                .telemetry
-                .get_or_insert_with(TelemetrySpec::default)
-                .set(subkey, value);
-        }
-        if let Some(subkey) = key.strip_prefix("chaos.") {
-            return self.chaos.get_or_insert_with(ChaosSpec::default).set(subkey, value);
-        }
-        if let Some(subkey) = key.strip_prefix("workload.") {
-            return self.workload.set(subkey, value).map_err(|message| {
-                ScenarioError::UnknownValue {
-                    field: key.into(),
-                    value: value.into(),
-                    expected: message,
+        if let Some((table, subkey)) = key.split_once('.') {
+            return match table {
+                "fleet" => self.fleet.get_or_insert_with(FleetSpec::default).set(subkey, value),
+                "fabric" => {
+                    self.fabric.get_or_insert_with(FabricSpec::default).set(subkey, value)
                 }
-            });
+                "telemetry" => {
+                    self.telemetry.get_or_insert_with(TelemetrySpec::default).set(subkey, value)
+                }
+                "chaos" => self.chaos.get_or_insert_with(ChaosSpec::default).set(subkey, value),
+                "workload" => self
+                    .workload
+                    .set(subkey, value)
+                    .map_err(|message| codec::unknown(key, value, message)),
+                _ => Err(ScenarioError::UnknownKey { key: key.into() }),
+            };
         }
         match key {
             "model" => self.model = value.to_owned(),
-            "npus" | "npu_num" => self.npus = parse(key, value)?,
-            "max_batch" => self.max_batch = parse(key, value)?,
-            "batch_delay_ms" => self.batch_delay_ms = parse(key, value)?,
-            "scheduling" => {
-                self.scheduling = match value {
-                    "orca" => SchedulingPolicy::IterationLevel,
-                    "request" => SchedulingPolicy::RequestLevel,
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "orca | request".into(),
-                        })
-                    }
-                }
-            }
-            "parallel" => {
-                self.parallel = match value {
-                    "tensor" => ParallelismKind::Tensor,
-                    "pipeline" => ParallelismKind::Pipeline,
-                    "hybrid" => ParallelismKind::Hybrid,
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "tensor | pipeline | hybrid".into(),
-                        })
-                    }
-                }
-            }
-            "npu_group" => self.npu_group = parse(key, value)?,
-            "npu_mem_gib" => {
-                self.npu_mem_gib = if value == "none" { None } else { Some(parse(key, value)?) }
-            }
-            "kv_manage" => {
-                self.kv_manage = match value {
-                    "vllm" => KvManage::Vllm,
-                    "max" => KvManage::MaxLen,
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "vllm | max".into(),
-                        })
-                    }
-                }
-            }
-            "pim" | "pim_type" => {
-                self.pim = match value {
-                    "none" => PimMode::None,
-                    "local" => PimMode::Local,
-                    "pool" => PimMode::Pool,
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "none | local | pool".into(),
-                        })
-                    }
-                }
-            }
-            "pim_pool_size" => {
-                self.pim_pool_size =
-                    if value == "none" { None } else { Some(parse(key, value)?) }
-            }
-            "sub_batch" => self.sub_batch = parse_bool(key, value)?,
-            "reuse" => self.reuse = parse_bool(key, value)?,
-            "iteration_memo" => self.iteration_memo = parse_bool(key, value)?,
+            "npus" | "npu_num" => self.npus = codec::parse(key, value)?,
+            "max_batch" => self.max_batch = codec::parse(key, value)?,
+            "batch_delay_ms" => self.batch_delay_ms = codec::parse(key, value)?,
+            "scheduling" => self.scheduling = codec::from_name(key, SCHEDULING, value)?,
+            "parallel" => self.parallel = codec::from_name(key, PARALLEL, value)?,
+            "npu_group" => self.npu_group = codec::parse(key, value)?,
+            "npu_mem_gib" => self.npu_mem_gib = codec::parse_opt(key, value)?,
+            "kv_manage" => self.kv_manage = codec::from_name(key, KV_MANAGE, value)?,
+            "pim" | "pim_type" => self.pim = codec::from_name(key, PIM, value)?,
+            "pim_pool_size" => self.pim_pool_size = codec::parse_opt(key, value)?,
+            "sub_batch" => self.sub_batch = codec::parse_bool(key, value)?,
+            "reuse" => self.reuse = codec::parse_bool(key, value)?,
+            "iteration_memo" => self.iteration_memo = codec::parse_bool(key, value)?,
             "kv_bucket" => {
                 self.kv_bucket = if value == "adaptive" {
                     KvBucket::adaptive()
                 } else {
-                    KvBucket::Fixed { tokens: parse(key, value)? }
+                    KvBucket::Fixed { tokens: codec::parse(key, value)? }
                 }
             }
-            "gen_only" => self.gen_only = parse_bool(key, value)?,
+            "gen_only" => self.gen_only = codec::parse_bool(key, value)?,
             "seed" => {
-                let seed = parse(key, value)?;
+                let seed = codec::parse(key, value)?;
                 self.seed = seed;
                 self.workload.reseed(seed);
             }
-            "network" => {
-                self.network = if value == "none" { None } else { Some(value.to_owned()) }
-            }
-            "replicas" => self.replicas = parse(key, value)?,
-            "routing" => {
-                self.routing =
-                    value.parse().map_err(|e: String| ScenarioError::UnknownValue {
-                        field: key.into(),
-                        value: value.into(),
-                        expected: e,
-                    })?
-            }
-            "disagg" => {
-                self.disagg = if value == "none" { None } else { Some(parse_pools(value)?) }
-            }
-            "kv_link_gbps" => self.kv_link_gbps = parse(key, value)?,
-            "pairing" => {
-                self.pairing =
-                    value.parse().map_err(|e: String| ScenarioError::UnknownValue {
-                        field: key.into(),
-                        value: value.into(),
-                        expected: e,
-                    })?
-            }
+            "network" => self.network = codec::parse_opt(key, value)?,
+            "replicas" => self.replicas = codec::parse(key, value)?,
+            "routing" => self.routing = codec::parse(key, value)?,
+            "disagg" => self.disagg = codec::none_or(value, parse_pools)?,
+            "kv_link_gbps" => self.kv_link_gbps = codec::parse(key, value)?,
+            "pairing" => self.pairing = codec::parse(key, value)?,
             "fleet" => {
                 // `none` clears the table; a control kind is shorthand
                 // for a default-knobbed fleet of that control plane.
-                self.fleet = if value == "none" {
-                    None
-                } else {
-                    let control: FleetControlKind = parse(key, value)?;
-                    let mut spec = self.fleet.take().unwrap_or_default();
-                    spec.control = control;
-                    Some(spec)
-                }
+                let control = codec::none_or(value, |value| {
+                    codec::from_name(key, FleetControlKind::NAMES, value)
+                })?;
+                self.fleet = control.map(|control| FleetSpec {
+                    control,
+                    ..self.fleet.take().unwrap_or_default()
+                });
             }
             "fabric" => {
                 // `none` clears the table; a topology name is shorthand
                 // for a fair-sharing fabric of that topology.
-                self.fabric = if value == "none" {
-                    None
-                } else {
-                    let mut spec = self.fabric.take().unwrap_or_default();
-                    spec.topology = Some(value.to_owned());
-                    Some(spec)
-                }
+                let topology: Option<String> = codec::parse_opt(key, value)?;
+                self.fabric = topology.map(|topology| FabricSpec {
+                    topology: Some(topology),
+                    ..self.fabric.take().unwrap_or_default()
+                });
             }
             "telemetry" => {
                 // `none` clears the table; `auto` is shorthand for both
                 // exports at their derived paths.
-                self.telemetry = match value {
-                    "none" => None,
-                    "auto" => Some(TelemetrySpec::auto()),
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "none | auto | telemetry.* sub-keys".into(),
-                        })
-                    }
-                }
+                self.telemetry = codec::none_or(value, |value| match value {
+                    "auto" => Ok(TelemetrySpec::auto()),
+                    _ => Err(codec::unknown(key, value, "none | auto | telemetry.* sub-keys")),
+                })?
             }
             "chaos" => {
                 // `none` clears the table; fault windows are only
                 // expressible as `[[chaos.*]]` entries in a file.
-                self.chaos = match value {
-                    "none" => None,
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "none | chaos.* sub-keys".into(),
-                        })
-                    }
-                }
+                self.chaos = codec::none_or(value, |value| {
+                    Err(codec::unknown(key, value, "none | chaos.* sub-keys"))
+                })?
             }
             "workload" => {
-                return Err(ScenarioError::UnknownValue {
-                    field: key.into(),
-                    value: value.into(),
-                    expected: "workload sub-keys, e.g. workload.kind or workload.rate".into(),
-                })
+                return Err(codec::unknown(
+                    key,
+                    value,
+                    "workload sub-keys, e.g. workload.kind or workload.rate",
+                ))
             }
             other => return Err(ScenarioError::UnknownKey { key: other.into() }),
         }
@@ -1207,97 +1103,35 @@ impl Scenario {
     /// Rebuilds a scenario from a value tree with typed errors (the
     /// checked core behind both file codecs and the sweep loader).
     pub(crate) fn from_value_checked(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("scenario: expected an object, got {v:?}"),
-            });
-        };
         let mut scenario = Scenario::default();
-        for (key, value) in fields {
-            match key.as_str() {
-                "workload" => {
+        for (key, value) in codec::table("scenario", v)? {
+            match (key.as_str(), value) {
+                ("workload", _) => {
                     scenario.workload = WorkloadSpec::from_value(value)
                         .map_err(|e| ScenarioError::Parse { message: e.to_string() })?;
                 }
-                "kv_bucket" => scenario.kv_bucket = kv_bucket_from_value(value)?,
-                "fleet" => {
-                    scenario.fleet = match value {
-                        Value::Null => None,
-                        other => Some(FleetSpec::from_value(other)?),
-                    }
+                ("kv_bucket", Value::Object(_)) => scenario.kv_bucket = adaptive_bucket(value)?,
+                ("fleet", Value::Object(_)) => {
+                    scenario.fleet = Some(FleetSpec::from_value(value)?)
                 }
-                "fabric" => {
-                    scenario.fabric = match value {
-                        Value::Null => None,
-                        // `fabric = "star4"`: fair-sharing shorthand.
-                        Value::Str(topology) => Some(FabricSpec::named(topology.clone())),
-                        other => Some(FabricSpec::from_value(other)?),
-                    }
+                ("fabric", Value::Object(_)) => {
+                    scenario.fabric = Some(FabricSpec::from_value(value)?)
                 }
-                "telemetry" => {
-                    scenario.telemetry = match value {
-                        Value::Null => None,
-                        // `telemetry = "auto"`: both exports, derived
-                        // paths.
-                        Value::Str(s) if s == "auto" => Some(TelemetrySpec::auto()),
-                        other => Some(TelemetrySpec::from_value(other)?),
-                    }
+                ("telemetry", Value::Object(_)) => {
+                    scenario.telemetry = Some(TelemetrySpec::from_value(value)?)
                 }
-                "chaos" => {
-                    scenario.chaos = match value {
-                        Value::Null => None,
-                        other => Some(ChaosSpec::from_value(other)?),
-                    }
-                }
-                "npu_mem_gib" => {
-                    scenario.npu_mem_gib = match value {
-                        Value::Null => None,
-                        Value::Float(f) => Some(*f),
-                        Value::Int(i) => Some(*i as f64),
-                        other => {
-                            return Err(ScenarioError::UnknownValue {
-                                field: "npu_mem_gib".into(),
-                                value: format!("{other:?}"),
-                                expected: "a number of GiB".into(),
-                            })
-                        }
-                    }
-                }
-                "pim_pool_size" => {
-                    scenario.pim_pool_size = match value {
-                        Value::Null => None,
-                        other => Some(usize::from_value(other).map_err(|e| {
-                            ScenarioError::UnknownValue {
-                                field: "pim_pool_size".into(),
-                                value: format!("{other:?}"),
-                                expected: e.to_string(),
-                            }
-                        })?),
-                    }
-                }
-                "network" | "disagg" if matches!(value, Value::Null) => {
-                    // Optional fields spelled out as null (JSON form).
-                    if key == "network" {
-                        scenario.network = None;
-                    } else {
-                        scenario.disagg = None;
-                    }
+                ("chaos", Value::Object(_)) => {
+                    scenario.chaos = Some(ChaosSpec::from_value(value)?)
                 }
                 // `seed` must not re-seed the workload here: the file may
                 // carry an explicit workload seed, and field order must
                 // not matter. The coupling is a CLI/sweep convenience.
-                "seed" => {
-                    scenario.seed =
-                        u64::from_value(value).map_err(|e| ScenarioError::UnknownValue {
-                            field: "seed".into(),
-                            value: format!("{value:?}"),
-                            expected: e.to_string(),
-                        })?
+                ("seed", _) => {
+                    scenario.seed = codec::parse(key, &codec::scalar_text(key, value)?)?
                 }
-                _ => {
-                    let text = scalar_to_string(key, value)?;
-                    scenario.set(key, &text)?;
-                }
+                // Every other field, and the scalar shorthands of the
+                // tables above, reads exactly as `--set` would.
+                _ => scenario.set(key, &codec::scalar_text(key, value)?)?,
             }
         }
         Ok(scenario)
@@ -1305,118 +1139,41 @@ impl Scenario {
 
     /// Renders the scenario as a value tree in canonical key order.
     fn to_value(&self) -> Value {
-        let opt_str = |s: &Option<String>| match s {
-            Some(s) => Value::Str(s.clone()),
-            None => Value::Null,
-        };
+        let int = |n: usize| Value::Int(n as i128);
         Value::Object(vec![
             ("model".into(), Value::Str(self.model.clone())),
-            ("npus".into(), Value::Int(self.npus as i128)),
-            ("max_batch".into(), Value::Int(self.max_batch as i128)),
+            ("npus".into(), int(self.npus)),
+            ("max_batch".into(), int(self.max_batch)),
             ("batch_delay_ms".into(), Value::Float(self.batch_delay_ms)),
-            (
-                "scheduling".into(),
-                Value::Str(
-                    match self.scheduling {
-                        SchedulingPolicy::IterationLevel => "orca",
-                        SchedulingPolicy::RequestLevel => "request",
-                    }
-                    .into(),
-                ),
-            ),
-            (
-                "parallel".into(),
-                Value::Str(
-                    match self.parallel {
-                        ParallelismKind::Tensor => "tensor",
-                        ParallelismKind::Pipeline => "pipeline",
-                        ParallelismKind::Hybrid => "hybrid",
-                    }
-                    .into(),
-                ),
-            ),
-            ("npu_group".into(), Value::Int(self.npu_group as i128)),
-            (
-                "npu_mem_gib".into(),
-                match self.npu_mem_gib {
-                    Some(gib) => Value::Float(gib),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "kv_manage".into(),
-                Value::Str(
-                    match self.kv_manage {
-                        KvManage::Vllm => "vllm",
-                        KvManage::MaxLen => "max",
-                    }
-                    .into(),
-                ),
-            ),
-            (
-                "pim".into(),
-                Value::Str(
-                    match self.pim {
-                        PimMode::None => "none",
-                        PimMode::Local => "local",
-                        PimMode::Pool => "pool",
-                    }
-                    .into(),
-                ),
-            ),
-            (
-                "pim_pool_size".into(),
-                match self.pim_pool_size {
-                    Some(n) => Value::Int(n as i128),
-                    None => Value::Null,
-                },
-            ),
+            ("scheduling".into(), Value::Str(codec::name(SCHEDULING, self.scheduling).into())),
+            ("parallel".into(), Value::Str(codec::name(PARALLEL, self.parallel).into())),
+            ("npu_group".into(), int(self.npu_group)),
+            ("npu_mem_gib".into(), self.npu_mem_gib.map_or(Value::Null, Value::Float)),
+            ("kv_manage".into(), Value::Str(codec::name(KV_MANAGE, self.kv_manage).into())),
+            ("pim".into(), Value::Str(codec::name(PIM, self.pim).into())),
+            ("pim_pool_size".into(), self.pim_pool_size.map_or(Value::Null, int)),
             ("sub_batch".into(), Value::Bool(self.sub_batch)),
             ("reuse".into(), Value::Bool(self.reuse)),
             ("iteration_memo".into(), Value::Bool(self.iteration_memo)),
             ("gen_only".into(), Value::Bool(self.gen_only)),
             ("seed".into(), Value::Int(self.seed as i128)),
-            ("network".into(), opt_str(&self.network)),
-            ("replicas".into(), Value::Int(self.replicas as i128)),
+            ("network".into(), self.network.clone().map_or(Value::Null, Value::Str)),
+            ("replicas".into(), int(self.replicas)),
             ("routing".into(), Value::Str(self.routing.as_str().into())),
             (
                 "disagg".into(),
-                match self.disagg {
-                    Some((p, d)) => Value::Str(format!("{p}x{d}")),
-                    None => Value::Null,
-                },
+                self.disagg.map_or(Value::Null, |(p, d)| Value::Str(format!("{p}x{d}"))),
             ),
             ("kv_link_gbps".into(), Value::Float(self.kv_link_gbps)),
             ("pairing".into(), Value::Str(self.pairing.as_str().into())),
             ("kv_bucket".into(), kv_bucket_to_value(self.kv_bucket)),
-            (
-                "fleet".into(),
-                match &self.fleet {
-                    Some(spec) => spec.to_value(),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "fabric".into(),
-                match &self.fabric {
-                    Some(spec) => spec.to_value(),
-                    None => Value::Null,
-                },
-            ),
+            ("fleet".into(), self.fleet.as_ref().map_or(Value::Null, FleetSpec::to_value)),
+            ("fabric".into(), self.fabric.as_ref().map_or(Value::Null, FabricSpec::to_value)),
             (
                 "telemetry".into(),
-                match &self.telemetry {
-                    Some(spec) => spec.to_value(),
-                    None => Value::Null,
-                },
+                self.telemetry.as_ref().map_or(Value::Null, TelemetrySpec::to_value),
             ),
-            (
-                "chaos".into(),
-                match &self.chaos {
-                    Some(spec) => spec.to_value(),
-                    None => Value::Null,
-                },
-            ),
+            ("chaos".into(), self.chaos.as_ref().map_or(Value::Null, ChaosSpec::to_value)),
             ("workload".into(), self.workload.to_value()),
         ])
     }
@@ -1430,20 +1187,6 @@ fn parse_pools(value: &str) -> Result<(usize, usize), ScenarioError> {
     };
     let (p, d) = value.split_once('x').ok_or_else(err)?;
     Ok((p.parse().map_err(|_| err())?, d.parse().map_err(|_| err())?))
-}
-
-fn scalar_to_string(key: &str, value: &Value) -> Result<String, ScenarioError> {
-    match value {
-        Value::Str(s) => Ok(s.clone()),
-        Value::Int(i) => Ok(i.to_string()),
-        Value::Float(f) => Ok(format!("{f:?}")),
-        Value::Bool(b) => Ok(b.to_string()),
-        other => Err(ScenarioError::UnknownValue {
-            field: key.into(),
-            value: format!("{other:?}"),
-            expected: "a scalar".into(),
-        }),
-    }
 }
 
 fn kv_bucket_to_value(bucket: KvBucket) -> Value {
@@ -1460,53 +1203,25 @@ fn kv_bucket_to_value(bucket: KvBucket) -> Value {
     }
 }
 
-fn kv_bucket_from_value(value: &Value) -> Result<KvBucket, ScenarioError> {
-    let bad = |expected: &str| ScenarioError::UnknownValue {
-        field: "kv_bucket".into(),
-        value: format!("{value:?}"),
-        expected: expected.into(),
-    };
-    match value {
-        Value::Int(tokens) => Ok(KvBucket::Fixed {
-            tokens: usize::try_from(*tokens).map_err(|_| bad("a positive token count"))?,
-        }),
-        Value::Str(s) if s == "adaptive" => Ok(KvBucket::adaptive()),
-        Value::Object(fields) => {
-            // Omitted keys keep the `KvBucket::adaptive()` defaults.
-            let mut bucket = KvBucket::adaptive();
-            if let KvBucket::Adaptive { min_tokens, max_tokens, target_hit_rate, window } =
-                &mut bucket
-            {
-                for (key, v) in fields {
-                    match key.as_str() {
-                        "min_tokens" => {
-                            *min_tokens = usize::from_value(v)
-                                .map_err(|_| bad("min_tokens: a token count"))?
-                        }
-                        "max_tokens" => {
-                            *max_tokens = usize::from_value(v)
-                                .map_err(|_| bad("max_tokens: a token count"))?
-                        }
-                        "target_hit_rate" => {
-                            *target_hit_rate = f64::from_value(v)
-                                .map_err(|_| bad("target_hit_rate: a rate in (0, 1]"))?
-                        }
-                        "window" => {
-                            *window = u64::from_value(v)
-                                .map_err(|_| bad("window: an iteration count"))?
-                        }
-                        other => {
-                            return Err(ScenarioError::UnknownKey {
-                                key: format!("kv_bucket.{other}"),
-                            })
-                        }
-                    }
-                }
+/// An adaptive `[kv_bucket]` table; omitted keys keep the
+/// `KvBucket::adaptive()` defaults.
+fn adaptive_bucket(value: &Value) -> Result<KvBucket, ScenarioError> {
+    let mut bucket = KvBucket::adaptive();
+    if let KvBucket::Adaptive { min_tokens, max_tokens, target_hit_rate, window } = &mut bucket
+    {
+        codec::read_scalars("kv_bucket", value, |key, text| {
+            let field = &format!("kv_bucket.{key}");
+            match key {
+                "min_tokens" => *min_tokens = codec::parse(field, text)?,
+                "max_tokens" => *max_tokens = codec::parse(field, text)?,
+                "target_hit_rate" => *target_hit_rate = codec::parse(field, text)?,
+                "window" => *window = codec::parse(field, text)?,
+                _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
             }
-            Ok(bucket)
-        }
-        _ => Err(bad("a token count, \"adaptive\", or an adaptive table")),
+            Ok(())
+        })?;
     }
+    Ok(bucket)
 }
 
 impl Serialize for Scenario {
@@ -1816,6 +1531,116 @@ mod tests {
         // The string shorthand builds the same fair fabric.
         let short = Scenario::from_toml("disagg = \"1x1\"\nfabric = \"star2\"\n").unwrap();
         assert_eq!(short.fabric, Some(FabricSpec::named("star2")));
+    }
+
+    #[test]
+    fn every_bool_key_takes_every_bool_spelling() {
+        type Read = fn(&Scenario) -> bool;
+        let keys: [(&str, Read); 5] = [
+            ("sub_batch", |s| s.sub_batch),
+            ("reuse", |s| s.reuse),
+            ("iteration_memo", |s| s.iteration_memo),
+            ("gen_only", |s| s.gen_only),
+            ("fleet.shared_cache", |s| s.fleet.as_ref().is_some_and(|f| f.shared_cache)),
+        ];
+        for (key, read) in keys {
+            for (text, want) in [
+                ("on", true),
+                ("off", false),
+                ("1", true),
+                ("0", false),
+                ("true", true),
+                ("false", false),
+            ] {
+                let mut s = Scenario::default();
+                s.set(key, text).unwrap_or_else(|e| panic!("{key}={text}: {e}"));
+                assert_eq!(read(&s), want, "{key}={text}");
+            }
+            let err = Scenario::default().set(key, "yes").unwrap_err();
+            assert!(matches!(err, ScenarioError::UnknownValue { .. }), "{key}: {err}");
+        }
+        // The file form reads the same way as `--set`.
+        let s = Scenario::from_toml("[fleet]\nshared_cache = \"on\"\n").unwrap();
+        assert!(s.fleet.unwrap().shared_cache);
+    }
+
+    #[test]
+    fn name_tables_print_what_they_parse() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(names: Names<T>) {
+            for &(name, value) in names {
+                assert_eq!(codec::name(names, value), name);
+                assert_eq!(codec::lookup(names, name), Some(value));
+            }
+        }
+        check(SCHEDULING);
+        check(PARALLEL);
+        check(KV_MANAGE);
+        check(PIM);
+        check(FleetControlKind::NAMES);
+        check(crate::FabricSharing::NAMES);
+        let mut s = Scenario::default();
+        let err = s.set("parallel", "diag").unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::UnknownValue {
+                field: "parallel".into(),
+                value: "diag".into(),
+                expected: "tensor | pipeline | hybrid".into()
+            }
+        );
+    }
+
+    #[test]
+    fn null_and_none_clear_optional_fields_in_every_codec() {
+        let mut s = small().npu_mem_gib(48.0).pim_pool(2).network("hw.json").disagg(1, 1);
+        for key in ["npu_mem_gib", "pim_pool_size", "network", "disagg"] {
+            s.set(key, "none").unwrap();
+        }
+        assert_eq!(
+            (s.npu_mem_gib, s.pim_pool_size, s.network.clone(), s.disagg),
+            (None, None, None, None)
+        );
+        let json = r#"{"npu_mem_gib": null, "pim_pool_size": null, "network": null,
+                       "disagg": null, "fleet": null, "fabric": null, "telemetry": null,
+                       "chaos": null}"#;
+        assert_eq!(Scenario::from_json(json).unwrap(), Scenario::default());
+        // A table's scalar shorthand reads in a file exactly as in `--set`.
+        let s = Scenario::from_toml("fleet = \"autoscale\"\ntelemetry = \"auto\"\n").unwrap();
+        assert_eq!(s.fleet.map(|f| f.control), Some(FleetControlKind::Autoscale));
+        assert_eq!(s.telemetry, Some(TelemetrySpec::auto()));
+    }
+
+    #[test]
+    fn ms_keys_are_checked_after_their_ps_conversion() {
+        let invalid_field = |s: &Scenario| match s.validate() {
+            Err(ScenarioError::InvalidValue { field, .. }) => field,
+            other => panic!("expected an invalid value, got {other:?}"),
+        };
+        // A sub-picosecond tick rounds to 0 ps, which the control planes
+        // cannot step by.
+        let mut tick = small().replicas(2).fleet(FleetSpec::autoscale(1, 3));
+        tick.set("fleet.tick_ms", "1e-12").unwrap();
+        assert_eq!(invalid_field(&tick), "fleet.tick_ms");
+        tick.set("fleet.tick_ms", "1e-9").unwrap();
+        tick.validate().unwrap();
+        // A delay that saturates a `TimePs`, a negative one, and a
+        // non-finite one all fail instead of hanging or reading as 0.
+        for delay in ["1e300", "-5", "NaN", "inf"] {
+            let mut s = small();
+            s.set("batch_delay_ms", delay).unwrap();
+            assert_eq!(invalid_field(&s), "batch_delay_ms", "batch_delay_ms={delay}");
+        }
+        let mut warmup = small().replicas(2).fleet(FleetSpec::autoscale(1, 3));
+        warmup.set("fleet.warmup_ms", "-1").unwrap();
+        assert_eq!(invalid_field(&warmup), "fleet.warmup_ms");
+        // Per-replica overrides run the same checks at build time.
+        let mut fleet = FleetSpec::with_roles(&[ReplicaRole::Unified; 2]);
+        fleet.replicas[1].batch_delay_ms = Some(-5.0);
+        let err = small().fleet(fleet).build().unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::InvalidValue { field, .. } if field == "batch_delay_ms"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -32,14 +32,12 @@
 //!   rows keep grid order by point index, so the parallel TSV is
 //!   byte-identical to the serial one.
 
-// llmss-lint: allow(p001, file, reason = "sweep workers never poison locks (rows are plain data) and every grid point is filled by construction")
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use llmss_core::{FleetReport, PercentileSummary};
 use serde::Value;
 
-use crate::{toml, Scenario, ScenarioError};
+use crate::{codec, toml, Scenario, ScenarioError};
 
 /// One sweep dimension: a scenario key and the values it takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,11 +106,10 @@ impl Sweep {
     /// empty/invalid axes.
     pub fn from_toml(text: &str) -> Result<Self, ScenarioError> {
         let value = toml::parse(text).map_err(|message| ScenarioError::Parse { message })?;
-        let Value::Object(fields) = &value else { unreachable!("parse returns objects") };
         let mut base = Scenario::default();
         let mut axes = Vec::new();
         let mut metrics = None;
-        for (key, v) in fields {
+        for (key, v) in codec::table("sweep file", &value)? {
             match key.as_str() {
                 "scenario" => base = Scenario::from_value_checked(v)?,
                 "sweep" => (axes, metrics) = parse_sweep_table(v)?,
@@ -235,40 +232,36 @@ impl Sweep {
         let points = self.points()?;
         let axes: Vec<String> = self.axes.iter().map(|a| a.key.clone()).collect();
         let jobs = if jobs == 0 { available_jobs() } else { jobs }.min(points.len()).max(1);
-        let mut slots: Vec<Option<Result<SweepRow, ScenarioError>>> = Vec::new();
-        if jobs == 1 {
-            for point in points {
-                slots.push(Some(
-                    point.scenario.run().map(|r| SweepRow::collect(point.settings, &r)),
-                ));
-            }
+        let run = |point: &SweepPoint| {
+            point.scenario.run().map(|r| SweepRow::collect(point.settings.clone(), &r))
+        };
+        let mut slots: Vec<(usize, Result<SweepRow, ScenarioError>)> = if jobs == 1 {
+            points.iter().map(run).enumerate().collect()
         } else {
-            slots.resize_with(points.len(), || None);
             let cursor = AtomicUsize::new(0);
-            let results: Vec<Mutex<Option<Result<SweepRow, ScenarioError>>>> =
-                slots.iter().map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(point) = points.get(i) else { break };
-                        let row = point
-                            .scenario
-                            .run()
-                            .map(|r| SweepRow::collect(point.settings.clone(), &r));
-                        *results[i].lock().expect("no poisoned sweep slot") = Some(row);
-                    });
-                }
-            });
-            slots = results
-                .into_iter()
-                .map(|m| m.into_inner().expect("no poisoned sweep slot"))
-                .collect();
-        }
-        let mut rows = Vec::with_capacity(slots.len());
-        for slot in slots {
-            rows.push(slot.expect("every point was run")?);
-        }
+                let workers: Vec<_> = (0..jobs)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut done = Vec::new();
+                            loop {
+                                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                                let Some(point) = points.get(i) else { return done };
+                                done.push((i, run(point)));
+                            }
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        // Every point ran exactly once; grid order makes the first error
+        // the lowest-indexed failing point's.
+        slots.sort_by_key(|(i, _)| *i);
+        let rows = slots.into_iter().map(|(_, row)| row).collect::<Result<_, _>>()?;
         Ok(SweepReport { axes, rows, metrics: self.metrics.clone() })
     }
 }
@@ -281,33 +274,17 @@ pub fn available_jobs() -> usize {
 fn parse_sweep_table(
     v: &Value,
 ) -> Result<(Vec<SweepAxis>, Option<Vec<String>>), ScenarioError> {
-    let Value::Object(fields) = v else {
-        return Err(ScenarioError::Parse {
-            message: format!("[sweep] must be a table of value lists, got {v:?}"),
-        });
-    };
-    let mut axes = Vec::with_capacity(fields.len());
+    let mut axes = Vec::new();
     let mut metrics = None;
-    for (key, values) in fields {
-        let items = match values {
-            Value::Array(items) => items.clone(),
+    for (key, values) in codec::table("sweep", v)? {
+        let field = &format!("sweep.{key}");
+        let texts = match values {
+            Value::Array(items) => {
+                items.iter().map(|item| codec::scalar_text(field, item)).collect()
+            }
             // A bare scalar is a 1-point axis — handy for pinning.
-            other => vec![other.clone()],
-        };
-        let mut texts = Vec::with_capacity(items.len());
-        for item in &items {
-            texts.push(match item {
-                Value::Str(s) => s.clone(),
-                Value::Int(i) => i.to_string(),
-                Value::Float(f) => format!("{f:?}"),
-                Value::Bool(b) => b.to_string(),
-                other => {
-                    return Err(ScenarioError::Parse {
-                        message: format!("sweep axis `{key}`: unsupported value {other:?}"),
-                    })
-                }
-            });
-        }
+            scalar => codec::scalar_text(field, scalar).map(|text| vec![text]),
+        }?;
         // `metrics` is the one reserved [sweep] key: a column selection,
         // not a grid axis (it is not a scenario key either, so nothing
         // sweepable is shadowed).

@@ -26,7 +26,7 @@ use llmss_core::TimelineConfig;
 use llmss_sched::TimePs;
 use serde::Value;
 
-use crate::ScenarioError;
+use crate::{codec, ScenarioError};
 
 /// The `[telemetry]` table: which exports to produce, the timeline
 /// window, SLO thresholds, and optional event filters.
@@ -151,59 +151,25 @@ impl TelemetrySpec {
     /// surface of [`Scenario::set`](crate::Scenario::set) — sweep axes
     /// and `--set`). The filter lists parse from comma-separated ids.
     pub(crate) fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: format!("telemetry.{field}"),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
-        }
-        fn parse_list<T: std::str::FromStr>(
-            field: &str,
-            value: &str,
-        ) -> Result<Vec<T>, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            if value == "none" || value.is_empty() {
-                return Ok(Vec::new());
-            }
-            value.split(',').map(|item| parse(field, item.trim())).collect()
-        }
-        let opt_path = |value: &str| -> Option<String> {
-            if value == "none" {
-                None
-            } else {
-                Some(value.to_owned())
-            }
-        };
+        let field = &format!("telemetry.{key}");
         match key {
-            "trace" => self.trace = opt_path(value),
-            "timeline" => self.timeline = opt_path(value),
-            "window_ps" => self.window_ps = parse(key, value)?,
-            "slo_ttft_ms" => self.slo_ttft_ms = parse(key, value)?,
-            "slo_tpot_ms" => self.slo_tpot_ms = parse(key, value)?,
-            "requests" => self.requests = parse_list(key, value)?,
-            "replicas" => self.replicas = parse_list(key, value)?,
-            other => {
-                return Err(ScenarioError::UnknownKey { key: format!("telemetry.{other}") })
-            }
+            "trace" => self.trace = codec::parse_opt(field, value)?,
+            "timeline" => self.timeline = codec::parse_opt(field, value)?,
+            "window_ps" => self.window_ps = codec::parse(field, value)?,
+            "slo_ttft_ms" => self.slo_ttft_ms = codec::parse(field, value)?,
+            "slo_tpot_ms" => self.slo_tpot_ms = codec::parse(field, value)?,
+            "requests" => self.requests = parse_list(field, value)?,
+            "replicas" => self.replicas = parse_list(field, value)?,
+            _ => return Err(ScenarioError::UnknownKey { key: field.clone() }),
         }
         Ok(())
     }
 
     /// Renders the table as a value tree in canonical key order.
     pub(crate) fn to_value(&self) -> Value {
-        let opt_str = |s: &Option<String>| match s {
-            Some(s) => Value::Str(s.clone()),
-            None => Value::Null,
-        };
         Value::Object(vec![
-            ("trace".into(), opt_str(&self.trace)),
-            ("timeline".into(), opt_str(&self.timeline)),
+            ("trace".into(), self.trace.clone().map_or(Value::Null, Value::Str)),
+            ("timeline".into(), self.timeline.clone().map_or(Value::Null, Value::Str)),
             ("window_ps".into(), Value::Int(i128::from(self.window_ps))),
             ("slo_ttft_ms".into(), Value::Float(self.slo_ttft_ms)),
             ("slo_tpot_ms".into(), Value::Float(self.slo_tpot_ms)),
@@ -220,40 +186,21 @@ impl TelemetrySpec {
         ])
     }
 
-    /// Rebuilds the table from a value tree with typed errors.
+    /// Rebuilds the table from a value tree with typed errors. A filter
+    /// list reads as the comma-separated ids `set` takes.
     pub(crate) fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("telemetry: expected a table, got {v:?}"),
-            });
-        };
         let mut spec = TelemetrySpec::default();
-        for (key, value) in fields {
-            match (key.as_str(), value) {
-                ("requests", Value::Array(items)) => {
-                    spec.requests = int_list("telemetry.requests", items)?;
-                }
-                ("replicas", Value::Array(items)) => {
-                    spec.replicas = int_list::<usize>("telemetry.replicas", items)?;
-                }
-                _ => {
-                    let text = match value {
-                        Value::Null => "none".to_owned(),
-                        Value::Str(s) => s.clone(),
-                        Value::Int(i) => i.to_string(),
-                        Value::Float(f) => format!("{f:?}"),
-                        Value::Bool(b) => b.to_string(),
-                        other => {
-                            return Err(ScenarioError::UnknownValue {
-                                field: format!("telemetry.{key}"),
-                                value: format!("{other:?}"),
-                                expected: "a scalar".into(),
-                            })
-                        }
-                    };
-                    spec.set(key, &text)?;
-                }
-            }
+        for (key, value) in codec::table("telemetry", v)? {
+            let field = &format!("telemetry.{key}");
+            let text = match (key.as_str(), value) {
+                ("requests" | "replicas", Value::Array(items)) => items
+                    .iter()
+                    .map(|id| codec::scalar_text(field, id))
+                    .collect::<Result<Vec<_>, _>>()?
+                    .join(","),
+                _ => codec::scalar_text(field, value)?,
+            };
+            spec.set(key, &text)?;
         }
         Ok(spec)
     }
@@ -267,19 +214,15 @@ fn resolve(path: &str, output: &str, suffix: &str) -> String {
     }
 }
 
-fn int_list<T: TryFrom<i128>>(field: &str, items: &[Value]) -> Result<Vec<T>, ScenarioError> {
-    items
-        .iter()
-        .map(|v| match v {
-            Value::Int(i) => T::try_from(*i).map_err(|_| ()),
-            _ => Err(()),
-        })
-        .collect::<Result<_, _>>()
-        .map_err(|()| ScenarioError::UnknownValue {
-            field: field.into(),
-            value: format!("{items:?}"),
-            expected: "an array of non-negative integers".into(),
-        })
+/// A comma-separated id list; `none` or empty is the empty list.
+fn parse_list<T: std::str::FromStr>(field: &str, value: &str) -> Result<Vec<T>, ScenarioError>
+where
+    T::Err: std::fmt::Display,
+{
+    if value == "none" || value.is_empty() {
+        return Ok(Vec::new());
+    }
+    value.split(',').map(|item| codec::parse(field, item.trim())).collect()
 }
 
 #[cfg(test)]

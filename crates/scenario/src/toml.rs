@@ -15,7 +15,6 @@
 //! are skipped (TOML has no null; optional scenario fields simply stay
 //! absent).
 
-// llmss-lint: allow(p001, file, reason = "codec internals assert parser-guaranteed non-empty key paths")
 use serde::Value;
 
 /// Parses TOML text into a [`Value::Object`] tree.
@@ -25,7 +24,7 @@ use serde::Value;
 /// Returns a line-qualified message on syntax errors, duplicate keys, or
 /// constructs outside the supported subset.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut root = Value::Object(Vec::new());
+    let mut root: Vec<(String, Value)> = Vec::new();
     let mut table_path: Vec<String> = Vec::new();
     // Whether `table_path` addresses the last element of an array of
     // tables (`[[path]]`) instead of a plain table.
@@ -46,11 +45,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
                     .ok_or_else(|| err("unterminated array-of-tables header".into()))?;
                 table_path = parse_key_path(aot).map_err(&err)?;
                 in_array_item = true;
-                let (key, parent_path) = table_path.split_last().expect("keys are non-empty");
-                let parent = ensure_table(&mut root, parent_path).map_err(&err)?;
-                let Value::Object(fields) = parent else {
-                    unreachable!("ensure_table returns objects")
-                };
+                let (key, parent_path) = split_key(&table_path).map_err(&err)?;
+                let fields = ensure_table(&mut root, parent_path).map_err(&err)?;
                 match fields.iter_mut().find(|(k, _)| k == key) {
                     Some((_, Value::Array(items))) => items.push(Value::Object(Vec::new())),
                     Some(_) => {
@@ -86,32 +82,41 @@ pub fn parse(text: &str) -> Result<Value, String> {
             value_text.push_str(strip_comment(next).trim());
         }
         let value = parse_value(value_text.trim()).map_err(&err)?;
-        let (key, parent_path) = key_path.split_last().expect("keys are non-empty");
+        let (key, parent_path) = split_key(&key_path).map_err(&err)?;
         let section = if in_array_item {
             array_last_item(&mut root, &table_path).map_err(&err)?
         } else {
             ensure_table(&mut root, &table_path).map_err(&err)?
         };
-        let table = ensure_table(section, parent_path).map_err(&err)?;
-        let Value::Object(fields) = table else { unreachable!("ensure_table returns objects") };
+        let fields = ensure_table(section, parent_path).map_err(&err)?;
         if fields.iter().any(|(k, _)| k == key) {
             return Err(err(format!("duplicate key `{key}`")));
         }
         fields.push((key.clone(), value));
     }
-    Ok(root)
+    Ok(Value::Object(root))
 }
 
 /// Walks to the last element of the array of tables at `path` (which
 /// must exist — a `[[path]]` header created it).
-fn array_last_item<'a>(root: &'a mut Value, path: &[String]) -> Result<&'a mut Value, String> {
-    let (key, parent_path) = path.split_last().expect("array paths are non-empty");
-    let parent = ensure_table(root, parent_path)?;
-    let Value::Object(fields) = parent else { unreachable!("ensure_table returns objects") };
+fn array_last_item<'a>(
+    root: &'a mut Vec<(String, Value)>,
+    path: &[String],
+) -> Result<&'a mut Vec<(String, Value)>, String> {
+    let (key, parent_path) = split_key(path)?;
+    let fields = ensure_table(root, parent_path)?;
     let Some((_, Value::Array(items))) = fields.iter_mut().find(|(k, _)| k == key) else {
         return Err(format!("`{key}` is not an array of tables"));
     };
-    items.last_mut().ok_or_else(|| format!("array of tables `{key}` is empty"))
+    match items.last_mut() {
+        Some(Value::Object(item)) => Ok(item),
+        _ => Err(format!("array of tables `{key}` has no table to extend")),
+    }
+}
+
+/// Splits a key path into its last key and the table path above it.
+fn split_key(path: &[String]) -> Result<(&String, &[String]), String> {
+    path.split_last().ok_or_else(|| "empty key".to_owned())
 }
 
 /// Serializes a [`Value::Object`] tree as TOML.
@@ -121,11 +126,11 @@ fn array_last_item<'a>(root: &'a mut Value, path: &[String]) -> Result<&'a mut V
 /// Returns a message when the value is not an object or contains shapes
 /// TOML cannot express (objects inside arrays, non-finite floats).
 pub fn emit(value: &Value) -> Result<String, String> {
-    let Value::Object(_) = value else {
+    let Value::Object(fields) = value else {
         return Err("top-level TOML value must be a table".into());
     };
     let mut out = String::new();
-    emit_table(value, &mut Vec::new(), &mut out)?;
+    emit_table(fields, &mut Vec::new(), &mut out)?;
     Ok(out)
 }
 
@@ -213,13 +218,13 @@ fn parse_key_path(text: &str) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-/// Walks (creating as needed) to the object at `path`.
-fn ensure_table<'a>(root: &'a mut Value, path: &[String]) -> Result<&'a mut Value, String> {
-    let mut current = root;
+/// Walks (creating as needed) from `fields` to the fields of the table
+/// at `path`.
+fn ensure_table<'a>(
+    mut fields: &'a mut Vec<(String, Value)>,
+    path: &[String],
+) -> Result<&'a mut Vec<(String, Value)>, String> {
     for key in path {
-        let Value::Object(fields) = current else {
-            return Err(format!("key `{key}` redefines a non-table value"));
-        };
         let idx = match fields.iter().position(|(k, _)| k == key) {
             Some(i) => i,
             None => {
@@ -227,12 +232,12 @@ fn ensure_table<'a>(root: &'a mut Value, path: &[String]) -> Result<&'a mut Valu
                 fields.len() - 1
             }
         };
-        current = &mut fields[idx].1;
-        if !matches!(current, Value::Object(_)) {
+        let Value::Object(next) = &mut fields[idx].1 else {
             return Err(format!("key `{key}` is not a table"));
-        }
+        };
+        fields = next;
     }
-    Ok(current)
+    Ok(fields)
 }
 
 fn parse_value(text: &str) -> Result<Value, String> {
@@ -394,14 +399,17 @@ impl Cursor<'_> {
     }
 }
 
-fn emit_table(value: &Value, path: &mut Vec<String>, out: &mut String) -> Result<(), String> {
-    let Value::Object(fields) = value else { unreachable!("callers pass objects") };
-    let mut tables: Vec<(&String, &Value)> = Vec::new();
+fn emit_table(
+    fields: &[(String, Value)],
+    path: &mut Vec<String>,
+    out: &mut String,
+) -> Result<(), String> {
+    let mut tables: Vec<(&String, &[(String, Value)])> = Vec::new();
     for (key, v) in fields {
         match v {
             // TOML has no null: optional fields are simply absent.
             Value::Null => {}
-            Value::Object(_) => tables.push((key, v)),
+            Value::Object(table) => tables.push((key, table)),
             other => {
                 out.push_str(&emit_key(key));
                 out.push_str(" = ");

@@ -133,6 +133,33 @@ fn checked_in_scenario_files_parse_build_and_round_trip() {
     assert!(seen >= 5, "expected the checked-in scenario corpus, found {seen} files");
 }
 
+/// The canonical TOML and JSON text of every checked-in (non-sweep)
+/// scenario, byte for byte, against `tests/golden/scenarios/`: the value
+/// codec's output contract across commits, not only within one.
+#[test]
+fn checked_in_scenarios_print_their_golden_canonical_forms() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/scenarios");
+    let goldens = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/scenarios");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("examples/scenarios exists") {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let Some(stem) = name.strip_suffix(".toml") else { continue };
+        if stem.starts_with("sweep_") {
+            continue;
+        }
+        seen += 1;
+        let scenario = Scenario::from_path(path.to_str().unwrap())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (ext, text) in [("toml", scenario.to_toml()), ("json", scenario.to_json())] {
+            let golden = std::fs::read_to_string(format!("{goldens}/{stem}.{ext}"))
+                .unwrap_or_else(|e| panic!("{stem}.{ext}: {e}"));
+            assert_eq!(text, golden, "{stem}.{ext} drifted from its canonical-form golden");
+        }
+    }
+    assert_eq!(seen, 9, "every non-sweep scenario file has a golden pair");
+}
+
 #[test]
 fn fleet_engine_drives_every_shape_through_one_surface() {
     // Push the same trace into each shape's FleetEngine through the same
@@ -308,5 +335,169 @@ proptest! {
         prop_assert_eq!(report.total_completions(), expected);
         let back = Scenario::from_toml(&scenario.to_toml()).unwrap();
         prop_assert_eq!(back, scenario);
+    }
+}
+
+/// Every document the input-path properties splice into: the canonical
+/// TOML/JSON goldens and the checked-in sweep files.
+fn document_corpus() -> &'static [String] {
+    static CORPUS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let root = env!("CARGO_MANIFEST_DIR");
+        let mut docs = Vec::new();
+        for dir in ["tests/golden/scenarios", "examples/scenarios"] {
+            let mut paths: Vec<_> = std::fs::read_dir(format!("{root}/{dir}"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| dir.starts_with("tests") || p.to_string_lossy().contains("sweep_"))
+                .collect();
+            paths.sort();
+            docs.extend(paths.iter().map(|p| std::fs::read_to_string(p).unwrap()));
+        }
+        docs
+    })
+}
+
+/// The `i`-th (wrapping) item of a `|`-separated list.
+fn pick(list: &'static str, i: usize) -> &'static str {
+    let items: Vec<&str> = list.split('|').collect();
+    items[i % items.len()]
+}
+
+/// Fragments that steer a splice into the codecs' edge cases.
+const FRAGMENTS: &str = "[|]|[[|]]|{|}|=|\"|,|.|#|\n| |\\|null|none|-1|0|1e400|1e-12|nan|true|\
+                         on|fleet|replica|[fleet]|[[fleet.replica]]|[sweep]|kv_bucket|x = |é|\0";
+
+/// Well-formed values of the wrong shape, range, or type for most keys
+/// (JSON spelling; TOML swaps use ` = ` inside inline tables).
+const VALUES: &str = "null|\"none\"|\"on\"|true|-1|0|1.5|1e300|-5.0|1e-12|\"x\"|\"2x2\"|[]|\
+                      [1, 2]|[\"a\", 1]|{}|{ \"a\": 1 }|[{}]|\"adaptive\"|\
+                      99999999999999999999999999999999999999999";
+
+/// Scenario-shaped text built from a corpus document: raw bytes, a
+/// random span replaced by fragments and bytes, or well-formed values
+/// swapped into random `key = value` / `"key": value` lines (which keeps
+/// the syntax valid and reaches the schema readers).
+fn arb_document() -> impl Strategy<Value = String> {
+    (
+        (0usize..3, 0usize..64),
+        (0usize..10_000, 0usize..24),
+        proptest::collection::vec(0usize..64, 0..6),
+        proptest::collection::vec(0u8..=255, 0..24),
+        proptest::collection::vec((0usize..10_000, 0usize..64), 1..4),
+    )
+        .prop_map(|((mode, which), (at, cut), fragments, bytes, swaps)| {
+            let corpus = document_corpus();
+            let raw = String::from_utf8_lossy(&bytes).into_owned();
+            let doc = &corpus[which % corpus.len()];
+            match mode {
+                0 => raw,
+                1 => {
+                    let mut at = at * doc.len() / 10_000;
+                    while !doc.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    let mut end = (at + cut).min(doc.len());
+                    while !doc.is_char_boundary(end) {
+                        end += 1;
+                    }
+                    let splice: String =
+                        fragments.iter().map(|&i| pick(FRAGMENTS, i)).collect();
+                    format!("{}{splice}{raw}{}", &doc[..at], &doc[end..])
+                }
+                _ => {
+                    let mut lines: Vec<String> = doc.lines().map(str::to_owned).collect();
+                    for (line, value) in swaps {
+                        let count = lines.len();
+                        let line = &mut lines[line * count / 10_000];
+                        let value = pick(VALUES, value);
+                        let (sep, value) = if line.trim_start().starts_with('"') {
+                            // JSON: keep a trailing comma.
+                            (
+                                "\": ",
+                                format!(
+                                    "{value}{}",
+                                    if line.ends_with(',') { "," } else { "" }
+                                ),
+                            )
+                        } else {
+                            (" = ", value.replace(": ", " = "))
+                        };
+                        if let Some((key, _)) = line.split_once(sep) {
+                            *line = format!("{key}{sep}{value}");
+                        }
+                    }
+                    lines.join("\n")
+                }
+            }
+        })
+}
+
+/// String-addressable keys beyond `Scenario::KEYS`: aliases, table
+/// sub-keys, and a few that are not keys at all.
+const SET_KEYS: &str = "npu_num|pim_type|fleet.control|fleet.tick_ms|fleet.flex_idle_ticks|\
+                        fleet.min_prefill|fleet.min_replicas|fleet.max_replicas|fleet.queue_high|\
+                        fleet.queue_low|fleet.warmup_ms|fleet.shards|fleet.shared_cache|\
+                        fabric.topology|fabric.sharing|fabric.bw_gbps|fabric.latency_ns|\
+                        fabric.trunk_gbps|telemetry.trace|telemetry.timeline|telemetry.window_ps|\
+                        telemetry.slo_ttft_ms|telemetry.slo_tpot_ms|telemetry.requests|\
+                        telemetry.replicas|chaos.seed|chaos.crash_rate_per_s|chaos.mttr_ms|\
+                        chaos.horizon_ms|chaos.max_retries|chaos.retry_backoff_ms|\
+                        chaos.retry_backoff_mult|workload.kind|workload.rate|workload.requests|\
+                        workload.seed|workload.dataset|workload.bursts|workload.path|\
+                        workload.heavy|fleet.nope|fabric.|nope.key||.|fleet.replica";
+
+const SET_VALUES: &str =
+    "|none|null|on|off|1|0|-1|2.5|1e-12|1e300|-5|NaN|inf|adaptive|auto|2x2|\
+                          0x1|x|99999999999999999999999|star4|fair|autoscale|gpt2|1,2|1,,x|é|\
+                          bursty";
+
+/// A `(key, value)` override: a schema key or one of [`SET_KEYS`], and
+/// one of [`SET_VALUES`] or a plain number.
+fn arb_assignment() -> impl Strategy<Value = (String, String)> {
+    ((0usize..2, 0usize..64), (0usize..2, 0usize..64, 0u64..1000)).prop_map(
+        |((listed, k), (numeric, v, n))| {
+            let key = if listed == 0 {
+                Scenario::KEYS[k % Scenario::KEYS.len()]
+            } else {
+                pick(SET_KEYS, k)
+            };
+            let value =
+                if numeric == 0 { n.to_string() } else { pick(SET_VALUES, v).to_owned() };
+            (key.to_owned(), value)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Arbitrary input to the file codecs is a scenario or a typed error,
+    /// never a panic.
+    #[test]
+    fn scenario_and_sweep_parsers_are_total(doc in arb_document()) {
+        let _ = Scenario::from_toml(&doc);
+        let _ = Scenario::from_json(&doc);
+        let _ = Sweep::from_toml(&doc);
+    }
+
+    /// Any sequence of `--set` assignments returns `Ok` or a typed error,
+    /// never a panic, and an unknown key is always `UnknownKey`.
+    #[test]
+    fn set_is_total(assignments in proptest::collection::vec(arb_assignment(), 1..6)) {
+        let mut s = Scenario::default();
+        for (key, value) in &assignments {
+            match s.set(key, value) {
+                Ok(()) | Err(ScenarioError::UnknownValue { .. }) => {}
+                Err(ScenarioError::UnknownKey { key: unknown }) => {
+                    prop_assert!(
+                        unknown.contains("nope") || unknown.ends_with('.')
+                            || key.is_empty() || key == "fleet.replica",
+                        "{key} is a schema key but was rejected as unknown"
+                    );
+                }
+                Err(other) => prop_assert!(false, "{key}={value}: unexpected {other:?}"),
+            }
+        }
     }
 }

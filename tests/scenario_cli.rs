@@ -204,3 +204,15 @@ fn schema_drift_in_a_scenario_file_names_the_key() {
     assert!(stderr.contains("modle"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn sub_picosecond_control_tick_fails_validation_not_the_run() {
+    let out = bin()
+        .args(["run", &scenario_path("autoscale.toml"), "--set", "fleet.tick_ms=1e-12"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("fleet.tick_ms"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
